@@ -1086,8 +1086,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.artifact.errors import ArtifactError
     from repro.models.builder import shard_model
-    from repro.serve.bench import measure_throughput, zipf_requests
     from repro.serve.session import ServeConfig, ServeSession
+    from repro.traffic.model import TrafficModel, TrafficSpec
+    from repro.traffic.replay import replay
 
     error = _validate_serve_args(args)
     if error is not None:
@@ -1100,140 +1101,116 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.chaos is not None:
         return _cmd_serve_chaos(args)
 
-    cache_rows = args.cache_rows or None
+    def static_zipf(vocab: int, input_length: int) -> TrafficModel:
+        # Closed-loop static Zipf is the degenerate TrafficSpec: one-request
+        # sessions, no drift, locality or bursts.  Phase 0 is the warm-up
+        # (cache fill, allocator pools); phase 1 is the measured window.
+        return TrafficModel(TrafficSpec(
+            vocab=vocab,
+            input_length=input_length,
+            alpha=args.alpha,
+            num_phases=2,
+            steps_per_phase=-(-args.requests // (2 * args.batch_size)),
+            drift_fraction=0.0,
+            # Unused without drift, but validate() wants head_size < vocab;
+            # shrinking it keeps tiny vocabularies servable.
+            head_size=max(1, min(TrafficSpec.head_size, vocab - 1)),
+            sessions_per_step=float(args.batch_size),
+            burst_factor=1.0,
+            session_length=1,
+            locality=0.0,
+            seed=args.seed,
+        ))
+
     base = ServeConfig(
         cache_min_count=args.cache_min_count,
         cache_ttl_batches=args.cache_ttl_batches,
         max_batch=args.batch_size,
     )
-    cached_cfg = dc_replace(base, cache_rows=cache_rows)
-    num_batches = max(1, args.requests // args.batch_size)
-    # Cached engines warm for half the traffic so the timed window measures
-    # the steady-state hit rate, not the cold fill (DESIGN.md §6 protocol).
-    warm_uncached = max(1, num_batches // 16)
-    warm_cached = max(1, num_batches // 2)
+    cached_cfg = dc_replace(base, cache_rows=args.cache_rows or None)
+    sessions: dict[str, ServeSession] = {}
+    try:
+        if args.artifact is not None:
+            # Serve the exported container itself — the deployment contract.
+            # --bits 32 means "the artifact's native width"; 8/4 quantize an
+            # FP32 artifact on load (a stored-width conflict is a typed error).
+            session_bits = None if args.bits == 32 else args.bits
+            try:
+                from repro.artifact import load_artifact
 
-    if args.artifact is not None:
-        # Serve the exported container itself — the deployment contract.
-        # --bits 32 means "the artifact's native width"; 8/4 quantize an
-        # FP32 artifact on load (a stored-width conflict is a typed error).
-        session_bits = None if args.bits == 32 else args.bits
-        try:
-            from repro.artifact import load_artifact
-
-            # One disk read + hash verification, shared by both sessions.
-            artifact = load_artifact(args.artifact)
-            configs = [
-                (
-                    "artifact",
-                    ServeSession.load(artifact, dc_replace(base, bits=session_bits)),
-                    warm_uncached,
-                ),
-                (
-                    "artifact+cache",
-                    ServeSession.load(
-                        artifact, dc_replace(cached_cfg, bits=session_bits)
-                    ),
-                    warm_cached,
-                ),
-            ]
-            if args.workers > 0:
-                # The supervised multi-process plane over the same artifact
-                # (bit-identical predictions; see DESIGN.md §10).
-                configs.append(
-                    (
-                        f"runtime x{args.workers}w",
-                        ServeSession.load(
-                            artifact,
-                            dc_replace(base, bits=session_bits, workers=args.workers),
-                        ),
-                        warm_uncached,
-                    )
+                # One disk read + hash verification, shared by every session.
+                artifact = load_artifact(args.artifact)
+                sessions["artifact"] = ServeSession.load(
+                    artifact, dc_replace(base, bits=session_bits)
                 )
-        except ArtifactError as exc:
+                sessions["artifact+cache"] = ServeSession.load(
+                    artifact, dc_replace(cached_cfg, bits=session_bits)
+                )
+                if args.workers > 0:
+                    # The supervised multi-process plane over the same
+                    # artifact (bit-identical predictions; DESIGN.md §10).
+                    sessions[f"runtime x{args.workers}w"] = ServeSession.load(
+                        artifact,
+                        dc_replace(base, bits=session_bits, workers=args.workers),
+                    )
+            except ArtifactError as exc:
+                print(f"repro serve-bench: error: {exc}", file=sys.stderr)
+                return 2
+            engine = sessions["artifact"].engine
+            vocab, input_length = engine.vocab_size, engine.input_length
+            title = (
+                f"serve-bench: artifact {args.artifact} ({engine.model_name}, "
+                f"int{engine.bits}), v={vocab}, L={input_length}, Zipf({args.alpha})"
+            )
+        else:
+            vocab, input_length = args.vocab, args.input_length
+            title = (
+                f"serve-bench: {args.technique} "
+                f"{getattr(args, 'architecture', 'pointwise')}, v={vocab}, "
+                f"e={args.embedding_dim}, L={input_length}, Zipf({args.alpha})"
+            )
+        try:
+            traffic = static_zipf(vocab, input_length)
+        except ValueError as exc:
             print(f"repro serve-bench: error: {exc}", file=sys.stderr)
             return 2
-        engine = configs[0][1].engine
-        vocab, input_length = engine.vocab_size, engine.input_length
-        title = (
-            f"serve-bench: artifact {args.artifact} ({engine.model_name}, "
-            f"int{engine.bits}), v={vocab}, L={input_length}, Zipf({args.alpha})"
-        )
-    else:
-        def build():
-            return _build_export_model(args)
+        if args.artifact is None:
+            def build():
+                return _build_export_model(args)
 
-        vocab, input_length = args.vocab, args.input_length
-        shardable = args.technique in ("memcom", "full")
-        configs = [
-            ("monolithic", ServeSession.from_model(build(), base), warm_uncached),
-            (
-                "monolithic+cache",
-                ServeSession.from_model(build(), cached_cfg),
-                warm_cached,
-            ),
-        ]
-        if shardable:
-            configs += [
-                (
-                    f"sharded x{args.shards}",
-                    ServeSession.from_model(shard_model(build(), args.shards), base),
-                    warm_uncached,
-                ),
-                (
-                    f"sharded x{args.shards}+cache",
-                    ServeSession.from_model(
-                        shard_model(build(), args.shards), cached_cfg
-                    ),
-                    warm_cached,
-                ),
-            ]
-        if args.bits != 32:
-            # The repro.quant integer-storage plan: quantized tables served
-            # via fused gather→dequant, LRU cache of codes (DESIGN.md §7).
-            configs += [
-                (
-                    f"int{args.bits}",
-                    ServeSession.from_model(build(), dc_replace(base, bits=args.bits)),
-                    warm_uncached,
-                ),
-                (
-                    f"int{args.bits}+cache",
-                    ServeSession.from_model(
-                        build(), dc_replace(cached_cfg, bits=args.bits)
-                    ),
-                    warm_cached,
-                ),
-            ]
-        title = (
-            f"serve-bench: {args.technique} {getattr(args, 'architecture', 'pointwise')}, "
-            f"v={vocab}, e={args.embedding_dim}, L={input_length}, Zipf({args.alpha})"
-        )
+            sessions["monolithic"] = ServeSession.from_model(build(), base)
+            sessions["monolithic+cache"] = ServeSession.from_model(build(), cached_cfg)
+            if args.technique in ("memcom", "full"):
+                label = f"sharded x{args.shards}"
+                sessions[label] = ServeSession.from_model(
+                    shard_model(build(), args.shards), base
+                )
+                sessions[f"{label}+cache"] = ServeSession.from_model(
+                    shard_model(build(), args.shards), cached_cfg
+                )
+            if args.bits != 32:
+                # The repro.quant integer-storage plan: quantized tables served
+                # via fused gather→dequant, LRU cache of codes (DESIGN.md §7).
+                label = f"int{args.bits}"
+                sessions[label] = ServeSession.from_model(
+                    build(), dc_replace(base, bits=args.bits)
+                )
+                sessions[f"{label}+cache"] = ServeSession.from_model(
+                    build(), dc_replace(cached_cfg, bits=args.bits)
+                )
 
-    requests = zipf_requests(
-        vocab, input_length, args.requests, alpha=args.alpha, rng=args.seed
-    )
-    sessions = {label: session for label, session, _ in configs}
-    try:
-        reports = [
-            measure_throughput(
-                # The runtime (if any) duck-types the engine's serving surface.
-                session.runtime if session.runtime is not None else session.engine,
-                requests, batch_size=args.batch_size, label=label,
-                warmup_batches=warm,
-            )
-            for label, session, warm in configs
-        ]
+        reports = {label: replay(s, traffic) for label, s in sessions.items()}
         print(format_table(
-            ["engine", "requests", "batch", "req/s", "ms/batch", "cache hit"],
-            [r.row() for r in reports],
+            ["engine", "requests", "p50 ms", "p95 ms", "p99 ms", "req/s",
+             "cache hit", "checksum"],
+            [
+                # row()[3:] is phase 1's formatted p50, p95, p99, req/s, hit
+                (label, r.phases[1].requests, *r.phases[1].row()[3:],
+                 r.checksum[:16])
+                for label, r in reports.items()
+            ],
             title=title,
         ))
-        first, cached = reports[0], reports[1]
-        print(
-            f"\ncached vs uncached: {cached.requests_per_sec / first.requests_per_sec:.2f}× "
-            f"requests/sec at {100.0 * (cached.cache_hit_rate or 0.0):.1f}% hit rate"
-        )
         if args.artifact is None and args.bits != 32:
             fp32_bytes = sessions["monolithic"].engine.table_resident_bytes()
             q_bytes = sessions[f"int{args.bits}"].engine.table_resident_bytes()
@@ -1241,14 +1218,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"int{args.bits} table-resident bytes: {q_bytes:,} "
                 f"({q_bytes / fp32_bytes:.2f}× FP32's {fp32_bytes:,})"
             )
-        for label, session in sessions.items():
-            if session.runtime is not None:
-                qos = session.runtime.qos.snapshot()
+        # Every row served the same stream, so rows of one storage width
+        # must have produced byte-identical predictions.
+        reference: dict[int, str] = {}
+        for label, report in reports.items():
+            ref = reference.setdefault(sessions[label].bits, label)
+            if report.checksum != reports[ref].checksum:
                 print(
-                    f"{label}: p50/p95/p99 = {qos['latency_ms_p50']:.2f}/"
-                    f"{qos['latency_ms_p95']:.2f}/{qos['latency_ms_p99']:.2f} ms, "
-                    f"respawns={qos['respawns']}, retries={qos['retries']}"
+                    f"repro serve-bench: error: row {label!r} served different "
+                    f"predictions than {ref!r} (checksum "
+                    f"{report.checksum[:16]} != {reports[ref].checksum[:16]})",
+                    file=sys.stderr,
                 )
+                return 1
+        print(f"checksums agree across rows of each width ({len(reports)} rows)")
     finally:
         for session in sessions.values():
             session.close()

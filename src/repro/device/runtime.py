@@ -35,56 +35,6 @@ class DeviceRuntime:
     def compute_units(self) -> list[str]:
         return list(self.profile.units)
 
-    def benchmark_serving(
-        self,
-        model,
-        num_requests: int = 2048,
-        batch_size: int = 64,
-        alpha: float = 1.1,
-        cache_rows: int | None = None,
-        bits: int | None = None,
-        rng: np.random.Generator | int | None = None,
-    ):
-        """Measure batched serving throughput (requests/sec) for ``model``.
-
-        Unlike :meth:`benchmark` — which is the paper's *analytic* Table 3
-        latency/footprint model — this freezes the model through
-        :class:`repro.serve.ServeSession` (the canonical serving front
-        door; this method is a thin shim over it) and streams
-        Zipf(``alpha``) request traffic through a batcher, measuring host
-        wall-clock.  The profile names the deployment target in the report
-        label; absolute req/s is a host number (DESIGN.md §1's
-        relative-claims rule applies).
-
-        ``bits`` ∈ {8, 4} serves the :mod:`repro.quant` integer-storage
-        plan (quantized tables, cache of codes) instead of FP32.
-        """
-        from repro.serve.bench import measure_throughput, zipf_requests
-        from repro.serve.session import ServeConfig, ServeSession
-
-        session = ServeSession.from_model(
-            model,
-            ServeConfig(bits=bits, cache_rows=cache_rows, max_batch=batch_size),
-        )
-        engine = session.engine
-        vocab = model.embedding.vocab_size
-        requests = zipf_requests(
-            vocab, engine.input_length, num_requests, alpha=alpha, rng=rng
-        )
-        label = (
-            f"{self.profile.device}/{type(model).__name__}"
-            + (f"@int{engine.bits}" if engine.bits != 32 else "")
-            + (f"+cache{cache_rows}" if cache_rows else "")
-        )
-        # Cached engines warm for half the traffic so the report reflects
-        # the steady-state hit rate, not the cold fill (DESIGN.md §6).
-        num_batches = max(1, num_requests // batch_size)
-        warmup = max(1, num_batches // 2 if cache_rows else num_batches // 16)
-        return measure_throughput(
-            engine, requests, batch_size=batch_size, label=label,
-            warmup_batches=warmup,
-        )
-
     def benchmark(
         self,
         model,

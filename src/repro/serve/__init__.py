@@ -10,7 +10,9 @@ forward-only :class:`InferenceEngine` plan, the coalescing
 :mod:`repro.quant` integer-storage widths from that single config.  The
 engine/batcher/cache classes remain public — they are the moving parts,
 the session is the front door.  See DESIGN.md §6–§8 and
-``repro serve-bench`` / ``repro export-artifact``.
+``repro export-artifact``.  Serving is measured by replaying
+:mod:`repro.traffic` streams through a session (``repro serve-bench``
+replays static Zipf, ``repro traffic-bench`` drifting sessions).
 
 ``ServeConfig(workers=N)`` on a loaded artifact puts the fault-tolerant
 multi-process :mod:`repro.serve.runtime` in front of the same contract:
@@ -20,7 +22,6 @@ percentiles — bit-identical predictions under induced faults
 """
 
 from repro.serve.batcher import Batcher, PendingRequest
-from repro.serve.bench import ServeReport, measure_throughput, zipf_requests
 from repro.serve.cache import LRUCache, QuantizedRowCache, rows_for_budget
 from repro.serve.engine import InferenceEngine
 from repro.serve.runtime import (
@@ -44,11 +45,8 @@ __all__ = [
     "QuantizedRowCache",
     "RetryPolicy",
     "ServeConfig",
-    "ServeReport",
     "ServeSession",
     "ServingRuntime",
-    "measure_throughput",
     "rows_for_budget",
     "run_chaos",
-    "zipf_requests",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serve.bench import zipf_requests
+from repro.data.zipf import ZipfSampler
 from repro.serve.runtime.faults import FaultSpec, corrupt_artifact_payload
 from repro.serve.runtime.retry import RetryPolicy
 from repro.serve.runtime.supervisor import ServingRuntime
@@ -176,12 +176,8 @@ def run_chaos(
     baseline = ServeSession.load(
         artifact_path, bits=bits, calibration_percentile=calibration_percentile
     )
-    traffic = zipf_requests(
-        baseline.engine.vocab_size,
-        baseline.engine.input_length,
-        num_requests,
-        alpha=alpha,
-        rng=seed,
+    traffic = ZipfSampler(baseline.engine.vocab_size, alpha).sample(
+        seed, (num_requests, baseline.engine.input_length)
     )
     batches = [
         traffic[i : i + batch_size] for i in range(0, traffic.shape[0], batch_size)

@@ -1,9 +1,8 @@
 """`ServeSession` — the one front door to the serving stack.
 
-Serving grew organically across PRs 1–3: the engine takes one set of
-kwargs, the batcher another, the cache a third, the CLI and the device
-runtime each re-plumb all of them.  The session collapses that into a
-single declarative :class:`ServeConfig` and two constructors:
+The engine takes one set of kwargs, the batcher another, the cache a
+third.  The session collapses them into a single declarative
+:class:`ServeConfig` and two constructors:
 
 * :meth:`ServeSession.from_model` — freeze a live (trained or built) model;
 * :meth:`ServeSession.load` — open a :mod:`repro.artifact` container and
@@ -12,9 +11,9 @@ single declarative :class:`ServeConfig` and two constructors:
 Both yield the same object: an :class:`~repro.serve.engine.InferenceEngine`
 plus a :class:`~repro.serve.batcher.Batcher` wired from the config, with
 ``predict`` / ``submit`` / ``flush`` passthroughs and a ``stats()`` view of
-the counters every prior entry point reported separately.  The old entry
-points — engine/batcher constructors, ``repro serve-bench`` kwargs,
-``DeviceRuntime.benchmark_serving`` — remain as thin shims over this path.
+the engine, cache and batcher counters.  ``repro serve-bench`` and the
+:mod:`repro.traffic` replay harness build every session they measure
+through this path.
 
 The session also owns the persistence contract: ``from_model`` sessions
 can :meth:`save` themselves as artifacts, and for every technique and

@@ -76,7 +76,9 @@ class TestInf:
 
     def test_huge_finite_spread_overflows_to_inf_difference(self):
         # v_j − v_i overflows to +inf: must count as not-close, not crash.
-        assert _check([-1e308, 1e308], 1e-5) == 0
+        # The overflow is the point of the test, so its warning is expected.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert _check([-1e308, 1e308], 1e-5) == 0
 
 
 class TestDuplicateRuns:

@@ -192,10 +192,10 @@ class TestCacheHitPathBitIdentical:
             np.testing.assert_array_equal(engine.predict(x), want)
 
     def test_hit_rate_rises_on_zipf_traffic(self):
-        from repro.serve.bench import zipf_requests
+        from repro.data.zipf import ZipfSampler
 
         engine, _ = _engine(cache_rows=128)
-        requests = zipf_requests(V, L, 512, alpha=1.1, rng=0)
+        requests = ZipfSampler(V, 1.1).sample(0, (512, L))
         for start in range(0, 512, 32):
             engine.predict(requests[start : start + 32])
         assert engine.cache.hit_rate > 0.5

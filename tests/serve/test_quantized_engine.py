@@ -36,9 +36,9 @@ TECHNIQUES = {
 }
 
 
-def _model(architecture="pointwise", technique="memcom", seed=3):
+def _model(architecture="pointwise", technique="memcom", seed=3, dim=E):
     return BUILDERS[architecture](
-        technique, V, C, input_length=L, embedding_dim=E, rng=seed,
+        technique, V, C, input_length=L, embedding_dim=dim, rng=seed,
         **TECHNIQUES[technique],
     )
 
@@ -102,14 +102,20 @@ class TestQuantizedMatchesDequantizedReference:
 
 
 class TestQuantizedStorage:
-    def test_table_resident_bytes_shrink(self):
-        fp32 = InferenceEngine(_model(technique="full"))
-        q8 = InferenceEngine(_model(technique="full"), bits=8)
-        q4 = InferenceEngine(_model(technique="full"), bits=4)
-        assert fp32.table_resident_bytes() == V * E * 4
-        assert q8.table_resident_bytes() == V * (E + 4)
-        assert q4.table_resident_bytes() == V * (E // 2 + 4)
+    @pytest.mark.parametrize("technique", ["memcom", "full"])
+    def test_table_resident_bytes_shrink(self, technique):
+        # At e=64 the 4-byte per-row scale no longer dominates the codes.
+        e = 64
+        fp32, q8, q4 = (
+            InferenceEngine(_model(technique=technique, dim=e), bits=bits)
+            for bits in (32, 8, 4)
+        )
+        assert q8.table_resident_bytes() <= 0.30 * fp32.table_resident_bytes()
         assert q4.table_resident_bytes() < q8.table_resident_bytes()
+        if technique == "full":
+            assert fp32.table_resident_bytes() == V * e * 4
+            assert q8.table_resident_bytes() == V * (e + 4)
+            assert q4.table_resident_bytes() == V * (e // 2 + 4)
 
     def test_engine_rejects_bad_bits(self):
         with pytest.raises(ValueError):

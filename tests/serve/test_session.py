@@ -123,15 +123,6 @@ class TestLoaded:
 
 
 class TestShims:
-    def test_device_runtime_serving_shim_still_reports(self):
-        from repro.device.runtime import DeviceRuntime
-
-        report = DeviceRuntime("pixel2").benchmark_serving(
-            _model(), num_requests=96, batch_size=16, cache_rows=32, rng=0
-        )
-        assert report.requests_per_sec > 0
-        assert report.cache_hit_rate is not None
-
     def test_batcher_remains_manually_flushable(self):
         engine = InferenceEngine(_model())
         batcher = Batcher(engine, max_batch=4)

@@ -266,6 +266,45 @@ class TestArtifactCommands:
         assert "monolithic+cache" in out  # row exists, cache disabled: no hit%
 
 
+class TestServeBenchChecksums:
+    """Every serve-bench row replays one stream: same-width rows must agree."""
+
+    ARGS = ["serve-bench", "--vocab", "400", "--embedding-dim", "8",
+            "--input-length", "4", "--requests", "64", "--batch-size", "16",
+            "--cache-rows", "32", "--bits", "8"]
+
+    @staticmethod
+    def _checksums(out):
+        rows = [line.split("|") for line in out.splitlines() if line.count("|") == 7]
+        return {cells[0].strip(): cells[-1].strip() for cells in rows[1:]}
+
+    def test_one_checksum_per_width(self, capsys):
+        assert main(self.ARGS) == 0
+        sums = self._checksums(capsys.readouterr().out)
+        fp32 = ["monolithic", "monolithic+cache", "sharded x4", "sharded x4+cache"]
+        assert sorted(sums) == sorted(fp32 + ["int8", "int8+cache"])
+        assert len({sums[label] for label in fp32}) == 1
+        assert sums["int8"] == sums["int8+cache"] != sums["monolithic"]
+
+    def test_diverging_row_exits_1_and_is_named(self, capsys, monkeypatch):
+        from repro.serve.session import ServeSession
+
+        original = ServeSession.from_model.__func__
+
+        def from_model(cls, model, config=None, **overrides):
+            session = original(cls, model, config, **overrides)
+            engine = session.engine
+            if engine.bits == 8 and engine.cache is not None:
+                predict = engine.predict
+                engine.predict = lambda ids: predict(ids) + 1.0
+            return session
+
+        monkeypatch.setattr(ServeSession, "from_model", classmethod(from_model))
+        assert main(self.ARGS) == 1
+        err = capsys.readouterr().err
+        assert "'int8+cache'" in err and "Traceback" not in err
+
+
 class TestArtifactBits:
     """serve-bench --artifact honors --bits (review regression)."""
 
