@@ -151,7 +151,8 @@ def _dense_fn(plan: TowerPlan, name: str):
 def _pool_flatten(x: np.ndarray, pool_size: int) -> np.ndarray:
     """AveragePooling1D + Flatten, as the models compose them."""
     b, length, e = x.shape
-    return x.reshape(b, length // pool_size, pool_size, e).mean(axis=2).reshape(b, -1)
+    pooled = x.reshape(b, length // pool_size, pool_size, e).mean(axis=2)
+    return pooled.reshape(b, (length // pool_size) * e)
 
 
 def build_tower(plan: TowerPlan):

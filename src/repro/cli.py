@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=0,
         help="also bench the fault-tolerant multi-process runtime with this "
-        "many supervised shard workers (requires --artifact — the workers' "
+        "many supervised replica workers (requires --artifact — the workers' "
         "respawn source; 0 = single-process only)",
     )
     p_serve.add_argument(

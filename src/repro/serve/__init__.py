@@ -16,7 +16,7 @@ replays static Zipf, ``repro traffic-bench`` drifting sessions).
 
 ``ServeConfig(workers=N)`` on a loaded artifact puts the fault-tolerant
 multi-process :mod:`repro.serve.runtime` in front of the same contract:
-supervised shard workers, retry/backoff, graceful degradation, QoS
+supervised replica workers, retry/backoff, graceful degradation, QoS
 percentiles — bit-identical predictions under induced faults
 (DESIGN.md §10, ``repro serve-bench --chaos``).
 """

@@ -82,11 +82,13 @@ class Batcher:
         """Queue one request: an ``(input_length,)`` id sequence, or a bare
         id when the model's input length is 1.
 
-        Invalid requests are rejected *here* — shape and id range — so one
-        bad request can never poison a later batched flush for everyone
-        coalesced with it.
+        Invalid requests are rejected *here* — dtype, shape and id range —
+        so one bad request can never poison a later batched flush for
+        everyone coalesced with it.
         """
         ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            raise TypeError(f"request ids must be integers, got {ids.dtype}")
         if ids.ndim == 0:
             ids = ids[None]
         if ids.ndim != 1 or ids.shape[0] != self.engine.input_length:

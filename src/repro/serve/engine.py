@@ -46,6 +46,7 @@ import copy
 
 import numpy as np
 
+from repro.artifact.errors import ArtifactFormatError
 from repro.artifact.plan import TowerPlan, build_tower, tower_plan_of
 from repro.core.memcom import MEmComEmbedding
 from repro.core.onehot import HashedOneHotEncoder
@@ -249,6 +250,36 @@ class InferenceEngine:
         )
         return self
 
+    @classmethod
+    def from_artifact(cls, artifact, config) -> "InferenceEngine":
+        """Build the serving plan of a loaded artifact under a ``ServeConfig``.
+
+        The one artifact → engine builder: :class:`~repro.serve.ServeSession`
+        serves it, and the multi-process runtime's fallback and every
+        replica worker build theirs here from the same artifact and config
+        (hot-row cache included), so all of them run the same floats.  An
+        already-quantized artifact cannot be served at a different width.
+        """
+        embedding = artifact.serving_embedding()
+        if isinstance(embedding, QuantizedEmbedding) and config.bits not in (
+            None, embedding.bits,
+        ):
+            raise ArtifactFormatError(
+                f"artifact stores int{embedding.bits} codes; cannot serve it "
+                f"at bits={config.bits} (re-export from the FP32 model instead)"
+            )
+        return cls.from_parts(
+            embedding,
+            artifact.tower_plan(),
+            input_length=artifact.input_length,
+            model_name=artifact.architecture,
+            cache_rows=config.cache_rows,
+            bits=config.bits,
+            calibration_percentile=config.calibration_percentile,
+            cache_min_count=config.cache_min_count,
+            cache_ttl=config.cache_ttl_batches,
+        )
+
     def _init_plan(
         self,
         *,
@@ -421,28 +452,20 @@ class InferenceEngine:
         """
         return self._table_bytes
 
-    # -- per-shard operator decomposition ---------------------------------------
-
-    @property
-    def per_id_composable(self) -> bool:
-        """Whether the embedding composes one row per id (everything except
-        the pooled one-hot encoder) — the property the multi-process
-        runtime's id-partitioned shard workers rely on."""
-        return self._embed_pooled is None
+    # -- per-id reference ------------------------------------------------------
 
     def compose_rows(self, flat_ids: np.ndarray) -> np.ndarray:
-        """FP32 composed rows for a flat id vector — the per-shard operator.
+        """FP32 composed rows for a flat id vector — the per-id reference.
 
-        This is the unit of work a :mod:`repro.serve.runtime` shard worker
-        executes: deterministic per id, so any subset of a batch composed in
-        any process yields the same bytes the monolithic ``predict`` path
-        computes (that is what makes fault recovery bit-identical).  Bypasses
-        the hot-row cache by construction.
+        Deterministic per id and never touches the hot-row cache, so it
+        yields the bytes ``predict`` embeds whether a row was cached or
+        not; with :meth:`apply_tower` it rebuilds any served score from
+        first principles (the benchmark's output check does this).
         """
         if self._embed_pooled is not None:
             raise ValueError(
-                f"{self.model_name}'s pooled embedding output is not per-id "
-                "decomposable; serve it single-process"
+                f"{self.model_name}'s pooled embedding output is not per-id; "
+                "it has no rows to compose"
             )
         flat = np.asarray(flat_ids).ravel()
         if flat.size and (flat.min() < 0 or flat.max() >= self.vocab_size):
@@ -455,15 +478,17 @@ class InferenceEngine:
     def apply_tower(self, h: np.ndarray) -> np.ndarray:
         """Run the frozen tower over ``(B, L, e)`` embedded inputs.
 
-        Public so the runtime can assemble rows from shard workers and
-        finish the forward plan with exactly the closures ``predict`` uses.
+        Public so :meth:`compose_rows` output can be finished with exactly
+        the closures ``predict`` uses.
         """
         return self._tower(h)
 
     def validate_ids(self, ids: np.ndarray) -> np.ndarray:
         """Normalize a request batch to ``(B, input_length)`` or raise —
-        the shape/range contract shared by ``predict`` and the runtime."""
+        the dtype/shape/range contract shared by ``predict`` and the runtime."""
         ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            raise TypeError(f"request ids must be integers, got {ids.dtype}")
         if ids.ndim == 1:
             ids = ids[None, :]
         if ids.ndim != 2 or ids.shape[1] != self.input_length:

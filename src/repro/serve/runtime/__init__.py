@@ -1,14 +1,13 @@
 """`repro.serve.runtime` — fault-tolerant multi-process serving.
 
 The distributed half of the serving plane: :class:`ServingRuntime` runs
-one supervised :mod:`worker <repro.serve.runtime.worker>` process per
-table shard (the same splitmix64 partition ``ShardedTable`` uses),
-gathers embedding rows in parallel, and survives worker death, wedged
-shards, and corrupted payloads under a declarative :class:`RetryPolicy` —
-degrading to the local fallback engine, never erroring, always
-bit-identical to the single-process plan.  :class:`FaultSpec` +
-:func:`run_chaos` are the proof harness (``repro serve-bench --chaos``).
-See DESIGN.md §10.
+supervised replica :mod:`worker <repro.serve.runtime.worker>` processes,
+each answering whole batches with the session's own engine, and survives
+worker death, wedged workers, and corrupted payloads under a declarative
+:class:`RetryPolicy` — degrading to the local fallback engine, never
+erroring, always bit-identical to the single-process plan.
+:class:`FaultSpec` + :func:`run_chaos` are the proof harness
+(``repro serve-bench --chaos``).  See DESIGN.md §10.
 """
 
 from repro.serve.runtime.chaos import CHAOS_SCENARIOS, ChaosReport, run_chaos
@@ -16,7 +15,6 @@ from repro.serve.runtime.faults import FaultSpec, corrupt_artifact_payload
 from repro.serve.runtime.qos import QoSStats
 from repro.serve.runtime.retry import RetryPolicy
 from repro.serve.runtime.supervisor import ServingRuntime, Supervisor
-from repro.serve.runtime.worker import engine_from_artifact
 
 __all__ = [
     "CHAOS_SCENARIOS",
@@ -27,6 +25,5 @@ __all__ = [
     "ServingRuntime",
     "Supervisor",
     "corrupt_artifact_payload",
-    "engine_from_artifact",
     "run_chaos",
 ]

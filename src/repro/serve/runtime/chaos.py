@@ -10,7 +10,7 @@ armed, and assert two things at once —
    never correctness), and
 2. **the fault actually fired and recovery took the intended path**: each
    scenario names the QoS counters that must have moved (respawns for a
-   kill, timeouts+respawns for a delayed shard, checksum-retries for a
+   kill, timeouts+respawns for a delayed worker, checksum-retries for a
    corrupted payload, degradation+fallback for a corrupted respawn
    artifact).  A chaos run whose counters stayed at zero tested nothing
    and reports ``ok=False`` even if the answers matched.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,13 +43,14 @@ CHAOS_SCENARIOS = {
     "drop": "worker swallows a reply; timeout fires, worker respawned",
     "corrupt": "payload corrupted in transit; checksum catches it, retried",
     "corrupt-artifact": (
-        "worker dies and its respawn artifact is corrupted; shard degrades "
+        "worker dies and its respawn artifact is corrupted; worker degrades "
         "to the local fallback engine"
     ),
 }
 
-#: the fault fires on the worker's 2nd sub-request — after proving the
-#: healthy path works, with recovery provable on the batches that follow
+#: the fault fires on worker 0's 2nd batch (the runtime's 3rd, with two
+#: workers taking turns) — after proving the healthy path works, with
+#: recovery provable on the batches that follow
 _TRIGGER = 2
 
 
@@ -106,7 +107,7 @@ def _fault_for(scenario: str, retry: RetryPolicy) -> FaultSpec:
 def _evidence_for(scenario: str, stats: dict) -> dict:
     """The per-scenario proof obligations over the QoS counters."""
     if scenario in ("kill", "delay", "drop"):
-        # Recovery must have gone through respawn+retry, and the shard must
+        # Recovery must have gone through respawn+retry, and the worker must
         # have come back — degradation here would mean the budget was blown.
         return {
             "fault_detected": stats["faults_detected"] >= 1,
@@ -123,7 +124,7 @@ def _evidence_for(scenario: str, stats: dict) -> dict:
             "no_degradation": stats["degraded_workers"] == 0,
         }
     # corrupt-artifact: respawn was attempted, found the source rotten, and
-    # the shard degraded to local fallback instead of respawn-looping.
+    # the worker degraded to local fallback instead of respawn-looping.
     return {
         "fault_detected": stats["faults_detected"] >= 1,
         "respawn_attempted": stats["respawns"] >= 1,
@@ -163,7 +164,7 @@ def run_chaos(
     """
     # Lazy: the session façade itself wires runtimes, so importing it at
     # module scope would close an import cycle (session -> runtime -> chaos).
-    from repro.serve.session import ServeSession
+    from repro.serve.session import ServeConfig, ServeSession
 
     if scenario not in CHAOS_SCENARIOS:
         raise ValueError(
@@ -173,9 +174,8 @@ def run_chaos(
         retry = RetryPolicy(
             timeout_s=0.5, backoff_base_s=0.02, backoff_max_s=0.2, max_attempts=3
         )
-    baseline = ServeSession.load(
-        artifact_path, bits=bits, calibration_percentile=calibration_percentile
-    )
+    config = ServeConfig(bits=bits, calibration_percentile=calibration_percentile)
+    baseline = ServeSession.load(artifact_path, config)
     traffic = ZipfSampler(baseline.engine.vocab_size, alpha).sample(
         seed, (num_requests, baseline.engine.input_length)
     )
@@ -194,11 +194,8 @@ def run_chaos(
             serve_path = _copy_artifact(artifact_path, tmp_dir)
         runtime = ServingRuntime(
             serve_path,
-            workers=workers,
-            retry=retry,
+            replace(config, workers=workers, retry=retry),
             faults={0: _fault_for(scenario, retry)},
-            bits=bits,
-            calibration_percentile=calibration_percentile,
         )
         try:
             if scenario == "corrupt-artifact":

@@ -1,16 +1,16 @@
 """Fault injection for the serving runtime: break it on purpose, in tests.
 
 A fault-tolerance claim that was never exercised is a comment, not a
-property.  :class:`FaultSpec` rides into a shard worker at spawn time and
+property.  :class:`FaultSpec` rides into a replica worker at spawn time and
 triggers one failure at an exact point in its request sequence — so every
 chaos scenario is deterministic and the recovery evidence (which counters
 moved, which predictions matched) is assertable:
 
 * ``kill_on=n`` — the worker hard-exits (``os._exit``) upon *receiving*
-  its n-th sub-request, before replying: the crash-mid-request case, and
+  its n-th batch, before replying: the crash-mid-request case, and
   the in-flight request is genuinely lost with it.
 * ``delay_on=n`` / ``delay_ms`` — the worker sleeps before replying to its
-  n-th sub-request: a slow shard; past the retry timeout this becomes a
+  n-th batch: a slow worker; past the retry timeout this becomes a
   deadline overrun and the supervisor respawns it.
 * ``drop_on=n`` — the reply is computed and then swallowed: a lost
   message, indistinguishable from a hang on the parent side.
@@ -34,9 +34,9 @@ __all__ = ["FaultSpec", "corrupt_artifact_payload"]
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected failure, pinned to a worker's n-th received sub-request.
+    """One injected failure, pinned to a worker's n-th received batch.
 
-    All triggers are 1-based counters over ``rows`` sub-requests the worker
+    All triggers are 1-based counters over ``predict`` batches the worker
     receives; ``None`` disables that fault.  A respawned worker starts a
     fresh counter — and by default the supervisor does not re-inject the
     spec at all (a crash is an event, not a property of the replacement).

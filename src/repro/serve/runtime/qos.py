@@ -8,7 +8,7 @@ latency *percentiles* rather than means (recovery events live entirely in
 the tail), plus one counter per failure mode so the chaos harness can
 assert not just "the answers match" but "recovery actually happened via
 the mechanism under test" (retries for corrupt payloads, respawns for
-kills and deadline overruns, fallbacks for unrecoverable shards).
+kills and deadline overruns, fallbacks for unrecoverable workers).
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ class QoSStats:
         self._lat_ms: list[float] = []
         self._lat_n: list[int] = []
         self._recovery_ms: list[float] = []
-        self.retries = 0  # resent sub-requests (any failure cause)
+        self.retries = 0  # resent batches (any failure cause)
         self.respawns = 0  # worker processes restarted from the artifact
         self.worker_deaths = 0  # failures detected via a dead process
         self.timeouts = 0  # failures detected via deadline overrun
         self.corrupt_payloads = 0  # responses whose checksum lied
         self.heartbeats_missed = 0  # health checks that found a silent worker
-        self.fallback_requests = 0  # sub-requests served by the local engine
+        self.fallback_requests = 0  # batches served by the local engine
         self.degraded_workers = 0  # workers given up on for good
 
     # -- recording -------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Retry budget for shard sub-requests: timeout, backoff, attempt cap.
+"""Retry budget for replica batches: timeout, backoff, attempt cap.
 
-The supervisor treats every sub-request attempt as a lease: the worker has
+The supervisor treats every batch attempt as a lease: the worker has
 ``timeout_s`` to answer, a failed attempt waits a bounded exponentially
-growing backoff (with deterministic jitter, so two recovering shards do
-not resend in lockstep), and after ``max_attempts`` the shard is declared
+growing backoff (with deterministic jitter, so two recovering workers do
+not resend in lockstep), and after ``max_attempts`` the worker is declared
 unrecoverable and the request degrades to the local fallback engine.  The
 policy is pure data + pure functions, so the same budget can be asserted
 on in tests and printed in chaos reports.
@@ -26,11 +26,11 @@ class RetryPolicy:
     ----------
     timeout_s:
         Per-attempt response deadline.  A worker that has not answered a
-        sub-request within this window is treated as failed (dead or
-        wedged) and is respawned; the sub-request is requeued.
+        batch within this window is treated as failed (dead or
+        wedged) and is respawned; the batch is resent.
     max_attempts:
-        Total attempts per sub-request (first try included).  Exhausting
-        the budget degrades the shard to the local fallback engine rather
+        Total attempts per batch (first try included).  Exhausting
+        the budget degrades the worker to the local fallback engine rather
         than erroring the request.
     backoff_base_s / backoff_max_s:
         Retry ``k`` (1-based) waits ``min(base · 2^(k-1), max)`` seconds
@@ -38,7 +38,7 @@ class RetryPolicy:
     jitter:
         Fractional jitter: the wait is multiplied by ``1 + jitter·u`` with
         ``u ∈ [0, 1)`` drawn deterministically from ``(seed, k)`` — random
-        enough to decorrelate shards, reproducible enough for tests.
+        enough to decorrelate workers, reproducible enough for tests.
     respawn_grace_s:
         Extra deadline slack for the first attempt against a freshly
         (re)spawned worker, covering process start + artifact reload.

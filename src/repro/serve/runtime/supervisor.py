@@ -1,13 +1,12 @@
-"""Supervised multi-process serving: shard workers under a failure budget.
+"""Supervised multi-process serving: replica workers under a failure budget.
 
-``ServingRuntime`` turns the single-process :class:`InferenceEngine` into a
-serving *plane*: the embedding stage of every batch is decomposed by the
-same splitmix64 id partition :class:`~repro.nn.sharding.ShardedTable` uses
-(``workers == n_shards`` means one process per table shard), each partition
-is gathered in parallel by a :mod:`worker <repro.serve.runtime.worker>`
-process rebuilt from the on-disk artifact, and the parent assembles the
-rows and finishes with the frozen tower — bit-identical to the
-single-process plan, because every row is composed by the same code on the
+``ServingRuntime`` puts the single-process :class:`InferenceEngine` behind
+a pool of :mod:`worker <repro.serve.runtime.worker>` processes.  Every
+worker is a replica: it rebuilds the session's engine from the on-disk
+artifact under the same :class:`~repro.serve.session.ServeConfig`, hot-row
+cache included, and answers whole batches.  The parent validates each
+batch and sends it to the next live worker, round-robin.  The answers are
+bit-identical to the single-process plan — the same frozen code on the
 same bytes, just in another address space.
 
 The :class:`Supervisor` half owns the failure model (DESIGN.md §10):
@@ -15,19 +14,19 @@ The :class:`Supervisor` half owns the failure model (DESIGN.md §10):
 * **Detection** — three independent tripwires: a dead process
   (``is_alive``), a per-attempt response deadline
   (:class:`~repro.serve.runtime.retry.RetryPolicy`), and a CRC-32 check on
-  every row payload.  Idle failures are caught by heartbeat sweeps in
+  every score payload.  Idle failures are caught by heartbeat sweeps in
   :meth:`ServingRuntime.check_health`.
-* **Recovery** — dead or overdue workers are respawned *from the
-  artifact* (the durable source of truth) with a fresh request queue, and
-  the in-flight sub-requests are requeued with bounded, jittered backoff;
-  responses from superseded attempts are deduplicated by ``(req_id,
-  attempt)`` and either adopted (if intact — the data is deterministic,
-  any attempt's correct answer is *the* answer) or ignored.
-* **Degradation** — a shard whose retry budget is exhausted, or whose
-  respawn source turns out corrupted, is degraded: its partitions are
-  served by the parent's resident fallback engine (same frozen plan, so
-  predictions stay bit-identical) and the failure is visible in
-  :class:`~repro.serve.runtime.qos.QoSStats` rather than in the answers.
+* **Recovery** — a dead or overdue worker is respawned *from the
+  artifact* (the durable source of truth) with fresh queues, and
+  the batch is resent to it after a bounded, jittered backoff; answers
+  from superseded attempts of the same batch are adopted if intact (the
+  scores are deterministic, any attempt's correct answer is *the* answer).
+* **Degradation** — a worker whose retry budget is exhausted, or whose
+  respawn source turns out corrupted, is degraded: the failed batch is
+  served by the parent's resident engine (same frozen plan, so scores stay
+  bit-identical), later batches go to the remaining workers, and the
+  failure is visible in :class:`~repro.serve.runtime.qos.QoSStats` rather
+  than in the answers.
 
 Requests therefore never error out because a worker died — the runtime's
 contract is "bit-identical predictions, degraded latency, honest
@@ -39,15 +38,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.sharding import shard_of_rows
+from repro.artifact.container import load_artifact
 from repro.serve.engine import InferenceEngine
 from repro.serve.runtime.faults import FaultSpec
 from repro.serve.runtime.qos import QoSStats
 from repro.serve.runtime.retry import RetryPolicy
-from repro.serve.runtime.worker import engine_from_artifact, payload_crc, shard_worker_main
+from repro.serve.runtime.worker import payload_crc, worker_main
+
+if TYPE_CHECKING:
+    from repro.serve.session import ServeConfig
 
 __all__ = ["ServingRuntime", "Supervisor"]
 
@@ -59,17 +62,24 @@ def _mp_context():
 
 
 class _WorkerHandle:
-    """One supervised shard worker: process + queue + health state."""
+    """One supervised replica worker: process + queues + health state.
+
+    Each worker has its own response queue as well as its own request
+    queue.  A killed process can die holding its queue's write lock or
+    halfway through a message; both die with the queues it is respawned
+    without, and no other worker shares them.
+    """
 
     __slots__ = (
-        "id", "process", "request_q", "fault", "ready", "degraded",
-        "spawn_failed", "last_seen",
+        "id", "process", "request_q", "response_q", "fault", "ready",
+        "degraded", "spawn_failed", "last_seen",
     )
 
     def __init__(self, worker_id: int, fault: FaultSpec | None) -> None:
         self.id = worker_id
         self.process = None
         self.request_q = None
+        self.response_q = None
         self.fault = fault
         self.ready = False
         self.degraded = False
@@ -78,18 +88,22 @@ class _WorkerHandle:
 
 
 class _InFlight:
-    """One outstanding sub-request: which worker, which rows, which attempt."""
+    """The outstanding batch: which worker, which attempt, and its answer."""
 
-    __slots__ = ("worker_id", "sel", "ids", "attempt", "deadline", "resend_at", "failed_at")
+    __slots__ = (
+        "req_id", "worker_id", "ids", "attempt", "deadline", "resend_at",
+        "failed_at", "scores",
+    )
 
-    def __init__(self, worker_id: int, sel: np.ndarray, ids: np.ndarray) -> None:
+    def __init__(self, req_id: int, worker_id: int, ids: np.ndarray) -> None:
+        self.req_id = req_id
         self.worker_id = worker_id
-        self.sel = sel
         self.ids = ids
         self.attempt = 1
         self.deadline: float | None = None  # None while waiting out a backoff
         self.resend_at: float | None = None
         self.failed_at: float | None = None  # first failure detection time
+        self.scores: np.ndarray | None = None
 
 
 class Supervisor:
@@ -98,30 +112,24 @@ class Supervisor:
     def __init__(
         self,
         artifact_path: str,
-        n_workers: int,
+        config: ServeConfig,
         *,
-        bits: int | None,
-        calibration_percentile: float | None,
         heartbeat_interval_s: float,
         faults: dict[int, FaultSpec] | None,
         faults_persist: bool,
         qos: QoSStats,
-        mmap: bool = False,
     ) -> None:
         self.artifact_path = artifact_path
-        self._bits = bits
-        self._percentile = calibration_percentile
-        self._mmap = mmap
+        self._config = config
         self._hb_interval = heartbeat_interval_s
         self._faults_persist = faults_persist
         self._qos = qos
         self._ctx = _mp_context()
-        self.responses = self._ctx.Queue()
         faults = faults or {}
         for spec in faults.values():
             spec.validate()
         self.workers = [
-            _WorkerHandle(i, faults.get(i)) for i in range(n_workers)
+            _WorkerHandle(i, faults.get(i)) for i in range(config.workers)
         ]
         for w in self.workers:
             self._spawn(w, fault=w.fault)
@@ -130,17 +138,17 @@ class Supervisor:
 
     def _spawn(self, w: _WorkerHandle, fault: FaultSpec | None) -> None:
         w.request_q = self._ctx.Queue()
+        w.response_q = self._ctx.Queue()
         w.ready = False
         w.spawn_failed = False
         w.last_seen = time.monotonic()
         w.process = self._ctx.Process(
-            target=shard_worker_main,
+            target=worker_main,
             args=(
-                w.id, self.artifact_path, self._bits, self._percentile,
-                w.request_q, self.responses, fault, self._hb_interval,
-                self._mmap,
+                w.id, self.artifact_path, self._config, w.request_q,
+                w.response_q, fault, self._hb_interval,
             ),
-            name=f"repro-shard-worker-{w.id}",
+            name=f"repro-replica-{w.id}",
             daemon=True,
         )
         w.process.start()
@@ -148,8 +156,8 @@ class Supervisor:
     def respawn(self, w: _WorkerHandle) -> None:
         """Replace a dead/wedged worker with a fresh one from the artifact.
 
-        The old request queue is discarded with the old process, so stale
-        queued messages can never replay against the replacement.  Injected
+        The old queues are discarded with the old process, so stale queued
+        messages can never replay against the replacement.  Injected
         faults are not re-armed unless ``faults_persist`` — a crash is an
         event, not a property of the respawned process.
         """
@@ -157,11 +165,11 @@ class Supervisor:
         if w.process.is_alive():
             w.process.terminate()
         w.process.join(timeout=5.0)
-        self._discard_queue(w.request_q)
+        self._discard_queues(w)
         self._spawn(w, fault=w.fault if self._faults_persist else None)
 
     def degrade(self, w: _WorkerHandle) -> None:
-        """Give up on a shard worker for good; its partitions go local."""
+        """Give up on a worker for good; batches go to the others."""
         if w.degraded:
             return
         w.degraded = True
@@ -175,12 +183,13 @@ class Supervisor:
         return all(w.degraded for w in self.workers)
 
     @staticmethod
-    def _discard_queue(q) -> None:
-        try:
-            q.close()
-            q.cancel_join_thread()
-        except (OSError, ValueError):  # already closed / broken pipe
-            pass
+    def _discard_queues(w: _WorkerHandle) -> None:
+        for q in (w.request_q, w.response_q):
+            try:
+                q.close()
+                q.cancel_join_thread()
+            except (OSError, ValueError):  # already closed / broken pipe
+                pass
 
     def close(self) -> None:
         for w in self.workers:
@@ -199,17 +208,16 @@ class Supervisor:
                 w.process.join(timeout=1.0)
         for w in self.workers:
             if w.request_q is not None:
-                self._discard_queue(w.request_q)
-        self._discard_queue(self.responses)
+                self._discard_queues(w)
 
 
 class ServingRuntime:
     """Fault-tolerant multi-process serving front end over one artifact.
 
     Duck-type compatible with :class:`InferenceEngine` where it matters
-    (``predict`` / ``predict_one`` / ``input_length`` / ``vocab_size`` /
-    ``cache``), so the :class:`~repro.serve.batcher.Batcher` and the bench
-    harnesses drive it unchanged.
+    (``predict`` / ``predict_one`` / ``input_length`` / ``vocab_size``),
+    so the :class:`~repro.serve.batcher.Batcher` and the bench harnesses
+    drive it unchanged.
 
     Parameters
     ----------
@@ -217,76 +225,64 @@ class ServingRuntime:
         The on-disk :mod:`repro.artifact` container — both the initial
         source of every worker and the respawn source after failures.
         A durable artifact is *required*: recovery re-reads it.
-    workers:
-        Shard worker process count.  Matching a sharded table's
-        ``n_shards`` gives the one-process-per-shard layout.
-    retry:
-        The failure budget (defaults to ``RetryPolicy()``).
+    config:
+        The session's :class:`~repro.serve.session.ServeConfig`:
+        ``workers`` (>= 1) replicas, each building its engine from this
+        config; ``retry`` is the failure budget (``RetryPolicy()`` when
+        ``None``).
     faults:
         Optional ``{worker_id: FaultSpec}`` chaos injection (tests only).
     engine:
-        An already-built local engine over the same artifact (the session
-        front door passes its own); built from the artifact when omitted.
-        Used for the tower, request validation, and degraded fallback.
+        An already-built engine over the same artifact and config (the
+        session front door passes its own); built from the artifact when
+        omitted.  Used for request validation and degraded fallback.
     """
 
     def __init__(
         self,
         artifact_path: str,
-        workers: int = 2,
-        retry: RetryPolicy | None = None,
+        config: ServeConfig,
         *,
         faults: dict[int, FaultSpec] | None = None,
         engine: InferenceEngine | None = None,
-        bits: int | None = None,
-        calibration_percentile: float | None = None,
         heartbeat_interval_s: float = 0.25,
         faults_persist: bool = False,
         start_timeout_s: float = 60.0,
-        mmap: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        config.validate()
+        if config.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {config.workers}")
         if heartbeat_interval_s <= 0:
             raise ValueError(
                 f"heartbeat_interval_s must be positive, got {heartbeat_interval_s}"
             )
-        self.retry = (retry if retry is not None else RetryPolicy()).validate()
-        self._mmap = bool(mmap)
+        self.retry = config.retry if config.retry is not None else RetryPolicy()
         self._engine = (
             engine
             if engine is not None
-            else engine_from_artifact(
-                artifact_path, bits, calibration_percentile, mmap=mmap
+            else InferenceEngine.from_artifact(
+                load_artifact(artifact_path, mmap=config.mmap), config
             )
         )
-        if not self._engine.per_id_composable:
-            raise ValueError(
-                f"{self._engine.model_name}'s pooled embedding is not per-id "
-                "decomposable into shard operators; serve it single-process"
-            )
         self.artifact_path = artifact_path
-        self.n_workers = int(workers)
+        self.n_workers = config.workers
         self.qos = QoSStats()
         self.requests_served = 0
         self.batches_served = 0
         self.swaps = 0
         self._hb_interval = float(heartbeat_interval_s)
         self._seq = 0
+        self._next_worker = 0
         self._closed = False
         self.supervisor = Supervisor(
             artifact_path,
-            self.n_workers,
-            bits=bits,
-            calibration_percentile=calibration_percentile,
+            config,
             heartbeat_interval_s=self._hb_interval,
             faults=faults,
             faults_persist=faults_persist,
             qos=self.qos,
-            mmap=mmap,
         )
         self._workers = self.supervisor.workers
-        self._responses = self.supervisor.responses
         self._wait_until_ready(start_timeout_s)
 
     # -- engine-compatible surface ----------------------------------------------
@@ -312,14 +308,8 @@ class ServingRuntime:
         return self._engine.model_name
 
     @property
-    def cache(self):
-        """The distributed path is cache-less; hit rates come from workers'
-        own engines in a future PR (mmap/slim loading)."""
-        return None
-
-    @property
     def degraded(self) -> bool:
-        """True once every shard worker has been given up on (full local
+        """True once every worker has been given up on (full local
         fallback — still serving, still bit-identical)."""
         return self.supervisor.all_degraded
 
@@ -339,12 +329,10 @@ class ServingRuntime:
                     raise RuntimeError(
                         f"serving runtime: workers not ready within {timeout_s}s"
                     )
-                try:
-                    msg = self._responses.get(timeout=min(remaining, self._hb_interval))
-                except queue.Empty:
-                    msg = None
-                if msg is not None:
-                    self._dispatch(msg, {}, None)
+                waiting = [w for w in self._workers if not w.ready]
+                self._receive(waiting[0], None, min(remaining, self._hb_interval))
+                for w in waiting[1:]:
+                    self._receive(w, None)
                 for w in self._workers:
                     if w.spawn_failed or (not w.ready and not w.process.is_alive()):
                         raise RuntimeError(
@@ -359,22 +347,25 @@ class ServingRuntime:
 
     def predict(self, ids: np.ndarray) -> np.ndarray:
         """Scores for a ``(B, input_length)`` batch — the engine contract,
-        served through the worker plane with the full failure model."""
+        served by one replica under the full failure model."""
         if self._closed:
             raise RuntimeError("serving runtime is closed")
         ids = self._engine.validate_ids(ids)
         start = time.perf_counter()
         self.check_health()
-        if self.supervisor.all_degraded:
-            # Full fallback: the resident single-process plan (cache and
-            # all) — bit-identical by the engine's own invariants.
+        w = self._pick_worker()
+        if w is None:
+            # Full fallback: the resident single-process plan — bit-identical
+            # by the engine's own invariants.
             self.qos.fallback_requests += 1
             out = self._engine.predict(ids)
         else:
-            flat = ids.ravel()
-            rows = self._gather_rows(flat)
-            h = rows.reshape(ids.shape + (self._engine.embedding_dim,))
-            out = self._engine.apply_tower(h)
+            self._seq += 1
+            flight = _InFlight(self._seq, w.id, ids)
+            self._send(flight)
+            while flight.scores is None:
+                self._pump(flight)
+            out = flight.scores
         self.requests_served += ids.shape[0]
         self.batches_served += 1
         self.qos.record_batch(1e3 * (time.perf_counter() - start), ids.shape[0])
@@ -383,120 +374,93 @@ class ServingRuntime:
     def predict_one(self, ids: np.ndarray) -> np.ndarray:
         return self.predict(np.asarray(ids)[None, :])[0]
 
-    def _gather_rows(self, flat: np.ndarray) -> np.ndarray:
-        out = np.empty((flat.size, self._engine.embedding_dim), dtype=np.float32)
-        sid = shard_of_rows(flat, self.n_workers)
-        outstanding: dict[int, _InFlight] = {}
-        for w in self._workers:
-            sel = np.flatnonzero(sid == w.id)
-            if not sel.size:
-                continue
-            flight = _InFlight(w.id, sel, flat[sel])
-            if w.degraded:
-                self._serve_locally(flight, out)
-                continue
-            self._seq += 1
-            outstanding[self._seq] = flight
-            self._send(self._seq, flight)
-        while outstanding:
-            self._pump(outstanding, out)
-        return out
+    def _pick_worker(self) -> _WorkerHandle | None:
+        """The next live worker after the last one used (round-robin)."""
+        for k in range(self.n_workers):
+            w = self._workers[(self._next_worker + k) % self.n_workers]
+            if not w.degraded:
+                self._next_worker = (w.id + 1) % self.n_workers
+                return w
+        return None
 
     # -- the supervision loop ---------------------------------------------------
 
-    def _send(self, req_id: int, flight: _InFlight) -> None:
+    def _send(self, flight: _InFlight) -> None:
         w = self._workers[flight.worker_id]
         flight.resend_at = None
         flight.deadline = time.monotonic() + self.retry.deadline_s(
             fresh_worker=not w.ready
         )
-        w.request_q.put(("rows", req_id, flight.attempt, flight.ids))
+        w.request_q.put(("predict", flight.req_id, flight.attempt, flight.ids))
 
-    def _pump(self, outstanding: dict, out: np.ndarray) -> None:
-        now = time.monotonic()
-        next_event = min(
-            (f.resend_at if f.deadline is None else f.deadline)
-            for f in outstanding.values()
-        )
-        wait = max(0.001, min(next_event - now, self._hb_interval))
-        try:
-            msg = self._responses.get(timeout=wait)
-        except queue.Empty:
-            msg = None
-        while msg is not None:
-            self._dispatch(msg, outstanding, out)
-            try:
-                msg = self._responses.get_nowait()
-            except queue.Empty:
-                msg = None
-        now = time.monotonic()
-        for req_id in list(outstanding):
-            flight = outstanding.get(req_id)
-            if flight is None:
-                continue
-            w = self._workers[flight.worker_id]
-            if w.degraded:
-                del outstanding[req_id]
-                self._serve_locally(flight, out)
-            elif flight.deadline is None:
-                if now >= flight.resend_at:
-                    self._send(req_id, flight)
-            elif not w.process.is_alive():
-                self._attempt_failed(req_id, flight, outstanding, out, cause="death")
-            elif now >= flight.deadline:
-                self._attempt_failed(req_id, flight, outstanding, out, cause="timeout")
-
-    def _dispatch(self, msg, outstanding: dict, out: np.ndarray | None) -> None:
-        kind = msg[0]
-        if kind == "hb":
-            self._workers[msg[1]].last_seen = time.monotonic()
+    def _pump(self, flight: _InFlight) -> None:
+        w = self._workers[flight.worker_id]
+        next_event = flight.resend_at if flight.deadline is None else flight.deadline
+        wait = max(0.001, min(next_event - time.monotonic(), self._hb_interval))
+        self._receive(w, flight, wait)
+        if flight.scores is not None:
             return
+        now = time.monotonic()
+        if w.degraded:
+            self._serve_locally(flight)
+        elif flight.deadline is None:
+            if now >= flight.resend_at:
+                self._send(flight)
+        elif not w.process.is_alive():
+            self._attempt_failed(flight, cause="death")
+        elif now >= flight.deadline:
+            self._attempt_failed(flight, cause="timeout")
+
+    def _receive(
+        self, w: _WorkerHandle, flight: _InFlight | None, timeout: float = 0.0
+    ) -> None:
+        """Dispatch every message ``w`` has sent, waiting up to ``timeout``
+        seconds for the first one."""
+        try:
+            while True:
+                # Re-read the handle: a dispatch can respawn ``w`` onto
+                # fresh queues.
+                self._dispatch(w.response_q.get(timeout=timeout), flight)
+                timeout = 0.0
+        except queue.Empty:
+            pass
+
+    def _dispatch(self, msg, flight: _InFlight | None) -> None:
+        kind, worker_id = msg[0], msg[1]
+        w = self._workers[worker_id]
+        w.last_seen = time.monotonic()
         if kind == "ready":
-            w = self._workers[msg[1]]
             w.ready = True
-            w.last_seen = time.monotonic()
             return
         if kind == "spawn-failed":
             # The respawn source is rotten (e.g. artifact corrupted on
-            # disk): stop respawning, serve the shard locally from the
-            # resident plan.
-            w = self._workers[msg[1]]
+            # disk): stop respawning; the parent's engine serves instead.
             w.spawn_failed = True
             self.supervisor.degrade(w)
-            for req_id, flight in list(outstanding.items()):
-                if flight.worker_id == w.id:
-                    del outstanding[req_id]
-                    if out is not None:
-                        self._serve_locally(flight, out)
             return
-        # kind == "rows"
-        _, worker_id, req_id, attempt, rows, crc = msg
-        self._workers[worker_id].last_seen = time.monotonic()
-        flight = outstanding.get(req_id)
-        if flight is None:
-            return  # superseded: the request already completed another way
-        rows = np.asarray(rows)
+        if kind != "scores" or flight is None or msg[2] != flight.req_id:
+            return  # a heartbeat, or an answer to a batch already served
+        if flight.scores is not None:
+            return  # superseded: the batch already completed another way
+        _, _, _, attempt, scores, crc = msg
+        scores = np.asarray(scores)
         intact = (
-            rows.dtype == np.float32
-            and rows.shape == (flight.ids.size, self._engine.embedding_dim)
-            and payload_crc(np.ascontiguousarray(rows)) == crc
+            scores.dtype == np.float32
+            and scores.shape[:1] == flight.ids.shape[:1]
+            and payload_crc(scores) == crc
         )
         if not intact:
             self.qos.corrupt_payloads += 1
             if attempt == flight.attempt:
-                self._attempt_failed(req_id, flight, outstanding, out, cause="corrupt")
+                self._attempt_failed(flight, cause="corrupt")
             return  # a stale attempt's damage is already being retried
-        # Any intact answer is *the* answer (rows are deterministic per id),
-        # so late responses from earlier attempts are adopted, not wasted.
-        out[flight.sel] = rows
+        # Any intact answer is *the* answer (scores are deterministic), so
+        # late responses from earlier attempts are adopted, not wasted.
+        flight.scores = scores
         if flight.failed_at is not None:
             self.qos.record_recovery(1e3 * (time.monotonic() - flight.failed_at))
-        del outstanding[req_id]
 
-    def _attempt_failed(
-        self, req_id: int, flight: _InFlight, outstanding: dict,
-        out: np.ndarray, cause: str,
-    ) -> None:
+    def _attempt_failed(self, flight: _InFlight, cause: str) -> None:
         now = time.monotonic()
         if flight.failed_at is None:
             flight.failed_at = now
@@ -508,12 +472,11 @@ class ServingRuntime:
         w = self._workers[flight.worker_id]
         if flight.attempt >= self.retry.max_attempts:
             self.supervisor.degrade(w)
-            del outstanding[req_id]
-            self._serve_locally(flight, out)
+            self._serve_locally(flight)
             return
         if cause in ("death", "timeout"):
-            # Dead or wedged either way: replace the process, requeue the
-            # work.  (A corrupt payload leaves the worker standing — the
+            # Dead or wedged either way: replace the process, resend the
+            # batch.  (A corrupt payload leaves the worker standing — the
             # damage was in transit, not in the worker.)
             self.supervisor.respawn(w)
         self.qos.retries += 1
@@ -521,10 +484,10 @@ class ServingRuntime:
         flight.deadline = None
         flight.resend_at = now + self.retry.backoff(flight.attempt - 1)
 
-    def _serve_locally(self, flight: _InFlight, out: np.ndarray) -> None:
-        """Graceful degradation: the parent's resident plan composes the
-        partition — same frozen floats, so predictions stay bit-identical."""
-        out[flight.sel] = self._engine.compose_rows(flight.ids)
+    def _serve_locally(self, flight: _InFlight) -> None:
+        """Graceful degradation: the parent's resident engine answers the
+        batch — same frozen plan, so predictions stay bit-identical."""
+        flight.scores = self._engine.predict(flight.ids)
         self.qos.fallback_requests += 1
         if flight.failed_at is not None:
             self.qos.record_recovery(1e3 * (time.monotonic() - flight.failed_at))
@@ -538,12 +501,9 @@ class ServingRuntime:
         deployment would put it on a timer).  Returns a small report so
         callers can see what the sweep found.
         """
-        while True:
-            try:
-                msg = self._responses.get_nowait()
-            except queue.Empty:
-                break
-            self._dispatch(msg, {}, None)
+        for w in self._workers:
+            if not w.degraded:
+                self._receive(w, None)
         now = time.monotonic()
         respawned, silent = 0, 0
         for w in self._workers:
@@ -573,30 +533,24 @@ class ServingRuntime:
     def hot_swap(
         self, artifact_path: str, engine: InferenceEngine, timeout_s: float = 60.0
     ) -> None:
-        """Re-point the whole worker plane at a new artifact.
+        """Re-point every replica at a new artifact.
 
         ``engine`` is the already-built local engine over the *new*
         artifact (the session builds it before calling, so a bad artifact
-        fails before any worker is touched).  Every shard worker — healthy
-        or previously degraded — is respawned from the new path through the
+        fails before any worker is touched).  Every worker — healthy or
+        previously degraded — is respawned from the new path through the
         normal Supervisor respawn machinery, then the call blocks until all
         are ready again.  The caller drains its batcher first, so no
         in-flight request ever spans the generation boundary.
         """
         if self._closed:
             raise RuntimeError("serving runtime is closed")
-        if not engine.per_id_composable:
-            raise ValueError(
-                f"{engine.model_name}'s pooled embedding is not per-id "
-                "decomposable into shard operators; cannot hot-swap it into "
-                "a multi-process runtime"
-            )
         self._engine = engine
         self.artifact_path = artifact_path
         self.supervisor.artifact_path = artifact_path
         self.swaps += 1
         for w in self._workers:
-            # A degraded shard gets a clean slate: degradation was a verdict
+            # A degraded worker gets a clean slate: degradation was a verdict
             # on the *old* artifact/process, and the new generation starts
             # from a fresh respawn source.
             w.degraded = False

@@ -1,28 +1,25 @@
-"""The shard worker process: artifact in, composed embedding rows out.
+"""The replica worker process: artifact in, whole-batch scores out.
 
-One worker owns one partition of the id space (the same splitmix64
-partition :func:`repro.nn.sharding.shard_of_rows` gives a
-:class:`~repro.nn.sharding.ShardedTable`, so with ``workers == n_shards``
-each process only ever gathers rows its own table shard holds).  The
-worker's entire job is the per-shard operator the engine decomposes into:
-``compose_rows(ids) -> (n, e)`` FP32 rows, bit-identical to the rows the
-single-process plan computes, because it is literally the same frozen code
-path rebuilt from the same artifact bytes.
+Every worker is a replica of the session's engine: it builds
+:meth:`InferenceEngine.from_artifact` over the same artifact and the same
+:class:`~repro.serve.session.ServeConfig` (hot-row cache included) and
+answers whole ``predict(ids)`` batches.  Its scores are bit-identical to
+the parent's because it runs the same frozen plan on the same bytes.
 
 Protocol (all messages are tuples; queues pickle the arrays):
 
-* parent → worker, per-worker request queue:
-  ``("rows", req_id, attempt, ids)`` and ``("stop",)``.
-* worker → parent, shared response queue:
-  ``("ready", worker_id, pid)`` once the artifact is loaded,
+* parent → worker, the worker's request queue:
+  ``("predict", req_id, attempt, ids)`` and ``("stop",)``.
+* worker → parent, the worker's response queue:
+  ``("ready", worker_id, pid)`` once the engine is built,
   ``("hb", worker_id)`` heartbeats while idle,
-  ``("rows", worker_id, req_id, attempt, rows, crc32)`` answers, and
+  ``("scores", worker_id, req_id, attempt, scores, crc32)`` answers, and
   ``("spawn-failed", worker_id, message)`` when the artifact cannot be
   loaded — the corrupted-respawn case, reported before the process exits
-  so the supervisor can degrade the shard instead of respawn-looping.
+  so the supervisor can degrade the worker instead of respawn-looping.
 
-Every reply carries a CRC-32 of the row bytes so the parent can detect a
-payload corrupted in transit and retry instead of serving garbage.
+Every answer carries a CRC-32 of the score bytes so the parent can detect
+a payload corrupted in transit and retry instead of serving garbage.
 """
 
 from __future__ import annotations
@@ -34,75 +31,38 @@ import zlib
 
 import numpy as np
 
+from repro.artifact.container import load_artifact
 from repro.serve.engine import InferenceEngine
 
-__all__ = ["engine_from_artifact", "shard_worker_main", "payload_crc"]
+__all__ = ["payload_crc", "worker_main"]
 
 #: exit codes, distinguishable in the supervisor's logs/tests
 EXIT_SPAWN_FAILED = 13
 EXIT_FAULT_KILL = 17
 
 
-def payload_crc(rows: np.ndarray) -> int:
-    """CRC-32 over a C-order FP32 row block (cheap end-to-end checksum)."""
-    return zlib.crc32(rows.tobytes())
+def payload_crc(scores: np.ndarray) -> int:
+    """CRC-32 over the C-order bytes of a score block (cheap end-to-end checksum)."""
+    return zlib.crc32(scores.tobytes())
 
 
-def engine_from_artifact(
-    path: str,
-    bits: int | None = None,
-    calibration_percentile: float | None = None,
-    cache_rows: int | None = None,
-    cache_min_count: int = 1,
-    cache_ttl: int | None = None,
-    mmap: bool = False,
-) -> InferenceEngine:
-    """Open ``path`` and rebuild the serving plan — the (re)spawn source.
-
-    Used by both halves of the runtime: workers build their cache-less
-    operator engine here, and the parent builds its fallback engine through
-    the same helper so both sides provably run the same floats.  Raises the
-    typed :mod:`repro.artifact.errors` when the artifact is damaged.
-
-    ``mmap=True`` maps the payloads instead of reading them — with n shard
-    workers over one artifact, the table's pages are shared by the page
-    cache instead of copied n+1 times into private heaps.
-    """
-    from repro.artifact.container import load_artifact
-
-    artifact = load_artifact(path, mmap=mmap)
-    return InferenceEngine.from_parts(
-        artifact.serving_embedding(),
-        artifact.tower_plan(),
-        input_length=artifact.input_length,
-        model_name=artifact.architecture,
-        bits=bits,
-        calibration_percentile=calibration_percentile,
-        cache_rows=cache_rows,
-        cache_min_count=cache_min_count,
-        cache_ttl=cache_ttl,
-    )
-
-
-def shard_worker_main(
+def worker_main(
     worker_id: int,
     artifact_path: str,
-    bits: int | None,
-    calibration_percentile: float | None,
+    config,
     request_q,
     response_q,
     fault,
     heartbeat_interval_s: float,
-    mmap: bool = False,
 ) -> None:
-    """Process entry point: load the artifact, then serve row sub-requests.
+    """Process entry point: build the engine, then serve whole batches.
 
     ``fault`` is an optional :class:`~repro.serve.runtime.faults.FaultSpec`
     — production workers run with ``None``; chaos tests arm exactly one.
     """
     try:
-        engine = engine_from_artifact(
-            artifact_path, bits, calibration_percentile, mmap=mmap
+        engine = InferenceEngine.from_artifact(
+            load_artifact(artifact_path, mmap=config.mmap), config
         )
     except BaseException as exc:  # noqa: BLE001 — report, then die loudly
         try:
@@ -123,17 +83,17 @@ def shard_worker_main(
         _, req_id, attempt, ids = msg
         served += 1
         if fault is not None and fault.kill_on == served:
-            # Crash *before* replying: the in-flight sub-request dies with
-            # the process, exactly like a segfault mid-gather would.
+            # Crash *before* replying: the in-flight batch dies with the
+            # process, exactly like a segfault mid-predict would.
             os._exit(EXIT_FAULT_KILL)
-        rows = engine.compose_rows(np.asarray(ids))
-        crc = payload_crc(rows)
+        scores = engine.predict(ids)
+        crc = payload_crc(scores)
         if fault is not None:
             if fault.delay_on == served and fault.delay_ms:
                 time.sleep(fault.delay_ms / 1e3)
             if fault.drop_on == served:
                 continue  # computed, never sent: a lost message
             if fault.corrupt_on == served:
-                rows = rows.copy()
-                rows.view(np.uint8)[0] ^= 0xFF  # the crc above now lies
-        response_q.put(("rows", worker_id, req_id, attempt, rows, crc))
+                scores = scores.copy()
+                scores.view(np.uint8)[0] ^= 0xFF  # the crc above now lies
+        response_q.put(("scores", worker_id, req_id, attempt, scores, crc))

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.artifact.container import ModelArtifact, load_artifact, save_artifact
 from repro.artifact.errors import ArtifactFormatError
-from repro.quant.embedding import QuantizedEmbedding
 from repro.serve.batcher import Batcher, PendingRequest
 from repro.serve.engine import InferenceEngine
 from repro.serve.runtime.retry import RetryPolicy
@@ -72,12 +71,13 @@ class ServeConfig:
     workers:
         ``0`` (default) serves single-process.  ``>= 1`` puts the
         fault-tolerant multi-process
-        :class:`~repro.serve.runtime.ServingRuntime` in front: one
-        supervised shard-worker process per id partition, respawned from
-        the artifact on failure (DESIGN.md §10).  Requires an on-disk
-        artifact (:meth:`ServeSession.load`) — the artifact is the respawn
-        source, so a purely in-memory ``from_model`` session cannot
-        supervise workers.
+        :class:`~repro.serve.runtime.ServingRuntime` in front: that many
+        supervised replica processes, each serving whole batches with
+        this config's engine, respawned from the artifact on failure
+        (DESIGN.md §10).  Requires an on-disk artifact
+        (:meth:`ServeSession.load`) — the artifact is the respawn source,
+        so a purely in-memory ``from_model`` session cannot supervise
+        workers.
     retry:
         The runtime's failure budget (timeout / backoff / max attempts);
         ``None`` uses ``RetryPolicy()`` defaults.  Only meaningful with
@@ -88,8 +88,8 @@ class ServeConfig:
         over a multi-GB table returns in milliseconds and rows page in on
         demand through the normal gather path.  Requires
         :meth:`ServeSession.load` (a live model has no file to map) and a
-        directory container (zip members cannot be mapped).  ``workers >=
-        1`` shard workers map the artifact the same way.
+        directory container (zip members cannot be mapped).  Replica
+        workers map the artifact the same way, so its pages are shared.
     """
 
     bits: int | None = None
@@ -239,43 +239,13 @@ class ServeSession:
             artifact = path
         else:
             artifact = load_artifact(path, mmap=config.mmap)
-        engine = cls._build_engine(artifact, config)
+        engine = InferenceEngine.from_artifact(artifact, config)
         runtime = None
         if config.workers > 0:
             from repro.serve.runtime.supervisor import ServingRuntime
 
-            runtime = ServingRuntime(
-                artifact.path,
-                workers=config.workers,
-                retry=config.retry,
-                engine=engine,
-                bits=config.bits,
-                calibration_percentile=config.calibration_percentile,
-                mmap=config.mmap,
-            )
+            runtime = ServingRuntime(artifact.path, config, engine=engine)
         return cls(engine, config, artifact=artifact, runtime=runtime)
-
-    @staticmethod
-    def _build_engine(artifact: ModelArtifact, config: ServeConfig) -> InferenceEngine:
-        """Artifact → engine, under ``config`` (the load/hot-swap shared half)."""
-        embedding = artifact.serving_embedding()
-        if isinstance(embedding, QuantizedEmbedding):
-            if config.bits is not None and config.bits != embedding.bits:
-                raise ArtifactFormatError(
-                    f"artifact stores int{embedding.bits} codes; cannot serve it "
-                    f"at bits={config.bits} (re-export from the FP32 model instead)"
-                )
-        return InferenceEngine.from_parts(
-            embedding,
-            artifact.tower_plan(),
-            input_length=artifact.input_length,
-            model_name=artifact.architecture,
-            cache_rows=config.cache_rows,
-            bits=config.bits,
-            calibration_percentile=config.calibration_percentile,
-            cache_min_count=config.cache_min_count,
-            cache_ttl=config.cache_ttl_batches,
-        )
 
     # -- persistence ------------------------------------------------------------
 
@@ -314,8 +284,8 @@ class ServeSession:
         2. **Drain.**  Pending batcher requests are flushed against the
            *old* plan — every request answered by the model that was live
            when it was submitted; nothing is dropped or re-scored.
-        3. **Cut over.**  ``workers >= 1`` runtimes respawn every shard
-           worker from the new artifact (the same Supervisor respawn path
+        3. **Cut over.**  ``workers >= 1`` runtimes respawn every replica
+           from the new artifact (the same Supervisor respawn path
            that heals crashes), then the session's engine/artifact
            references flip.  Subsequent submits hit the new plan; post-swap
            predictions are bit-identical to a cold load of the new
@@ -328,7 +298,7 @@ class ServeSession:
             path if isinstance(path, ModelArtifact)
             else load_artifact(path, mmap=self.config.mmap)
         )
-        engine = self._build_engine(artifact, self.config)
+        engine = InferenceEngine.from_artifact(artifact, self.config)
         self.batcher.flush()  # drain in-flight against the outgoing plan
         if self.runtime is not None:
             self.runtime.hot_swap(artifact.path, engine)

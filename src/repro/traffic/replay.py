@@ -245,8 +245,8 @@ def replay(
     """
     if swap_path is not None and swap_step is None:
         raise ValueError("swap_path requires swap_step")
-    # The multi-process runtime serves cache-less; the hit-rate column only
-    # means something when the single-process engine's cache is in the path.
+    # A runtime's caches live in its replica workers, whose counters are not
+    # reported; the parent engine's cache sees only degraded fallbacks.
     cache = session.engine.cache if session.runtime is None else None
     deadline = getattr(session.batcher, "max_delay_ms", None) is not None
     sha = hashlib.sha256()

@@ -16,11 +16,11 @@ import signal
 import pytest
 
 from repro.artifact.container import save_artifact
-from repro.models.builder import build_pointwise_ranker
+from repro.models.builder import build_classifier, build_pointwise_ranker, build_ranknet
 from repro.serve.runtime import RetryPolicy
 
 #: generous ceiling: the slowest single test (chaos matrix cell with a
-#: delayed shard) finishes in a few seconds; a hang hits this instead
+#: delayed worker) finishes in a few seconds; a hang hits this instead
 HARD_TIMEOUT_S = 120
 
 #: test-tempo failure budget — sub-second timeout, quick backoff
@@ -34,6 +34,13 @@ _HYPER = {
     "memcom": {"num_hash_embeddings": 64},
     "full": {},
     "tt_rec": {"tt_rank": 2},
+    "hashed_onehot": {"num_hash_embeddings": 64},
+}
+
+_BUILDERS = {
+    "classifier": build_classifier,
+    "pointwise": build_pointwise_ranker,
+    "ranknet": build_ranknet,
 }
 
 
@@ -56,8 +63,8 @@ def hard_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
-def build_model(technique: str, seed: int = 0):
-    return build_pointwise_ranker(
+def build_model(technique: str, seed: int = 0, architecture: str = "pointwise"):
+    return _BUILDERS[architecture](
         technique, VOCAB, ITEMS, input_length=LENGTH, embedding_dim=DIM,
         rng=seed, **_HYPER[technique],
     )
@@ -65,15 +72,19 @@ def build_model(technique: str, seed: int = 0):
 
 @pytest.fixture(scope="session")
 def artifact_for(tmp_path_factory):
-    """``artifact_for(technique, bits) -> path`` (built once per combo)."""
+    """``artifact_for(technique, bits, architecture) -> path`` (built once
+    per combo)."""
     root = tmp_path_factory.mktemp("runtime-artifacts")
     cache: dict[tuple, str] = {}
 
-    def factory(technique: str = "memcom", bits: int = 32) -> str:
-        key = (technique, bits)
+    def factory(
+        technique: str = "memcom", bits: int = 32, architecture: str = "pointwise"
+    ) -> str:
+        key = (technique, bits, architecture)
         if key not in cache:
-            path = os.path.join(root, f"{technique}-{bits}")
-            save_artifact(build_model(technique), path, bits=bits)
+            path = os.path.join(root, f"{architecture}-{technique}-{bits}")
+            model = build_model(technique, architecture=architecture)
+            save_artifact(model, path, bits=bits)
             cache[key] = path
         return cache[key]
 

@@ -1,12 +1,11 @@
 """Fault-free ServingRuntime: the multi-process plane is invisible in the
 answers — bit-identical to the single-process engine for every technique
-and width it can serve — and the session/batcher front doors drive it
-unchanged."""
+and width — and the session/batcher front doors drive it unchanged."""
 
 import numpy as np
 import pytest
 
-from repro.serve import Batcher, ServeSession, ServingRuntime
+from repro.serve import Batcher, ServeConfig, ServeSession, ServingRuntime
 from repro.serve.runtime import RetryPolicy
 
 from .conftest import FAST_RETRY, LENGTH, VOCAB, build_model
@@ -19,13 +18,19 @@ def _traffic(n=40, seed=1):
 class TestBitIdentical:
     @pytest.mark.parametrize(
         "technique,bits",
-        [("memcom", 32), ("memcom", 8), ("full", 32), ("tt_rec", 32)],
+        [
+            ("memcom", 32), ("memcom", 8), ("full", 32), ("full", 8),
+            ("tt_rec", 32), ("tt_rec", 8),
+            # the pooled one-hot encoder has no per-id rows; a replica
+            # serves it whole like any other engine
+            ("hashed_onehot", 32),
+        ],
     )
     def test_matches_single_process_engine(self, artifact_for, technique, bits):
         path = artifact_for(technique, bits)
         ids = _traffic()
         expected = ServeSession.load(path).predict(ids)
-        with ServingRuntime(path, workers=2, retry=FAST_RETRY) as runtime:
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
             np.testing.assert_array_equal(runtime.predict(ids), expected)
             # serving again hits warm workers; still identical
             np.testing.assert_array_equal(runtime.predict(ids), expected)
@@ -33,15 +38,15 @@ class TestBitIdentical:
     def test_single_worker_and_many_workers_agree(self, artifact_for):
         path = artifact_for()
         ids = _traffic(24)
-        with ServingRuntime(path, workers=1, retry=FAST_RETRY) as one:
-            with ServingRuntime(path, workers=4, retry=FAST_RETRY) as four:
+        with ServingRuntime(path, ServeConfig(workers=1, retry=FAST_RETRY)) as one:
+            with ServingRuntime(path, ServeConfig(workers=4, retry=FAST_RETRY)) as four:
                 np.testing.assert_array_equal(one.predict(ids), four.predict(ids))
 
     def test_predict_one(self, artifact_for):
         path = artifact_for()
         row = _traffic(1)[0]
         expected = ServeSession.load(path).predict_one(row)
-        with ServingRuntime(path, workers=2, retry=FAST_RETRY) as runtime:
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
             np.testing.assert_array_equal(runtime.predict_one(row), expected)
 
 
@@ -50,7 +55,7 @@ class TestFrontDoors:
         path = artifact_for()
         ids = _traffic(10)
         expected = ServeSession.load(path).predict(ids)
-        with ServingRuntime(path, workers=2, retry=FAST_RETRY) as runtime:
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
             batcher = Batcher(runtime, max_batch=4)
             results = batcher.serve(list(ids))
             np.testing.assert_array_equal(np.stack(results), expected)
@@ -90,22 +95,43 @@ class TestFrontDoors:
 class TestLifecycleAndErrors:
     def test_workers_must_be_positive(self, artifact_for):
         with pytest.raises(ValueError, match="workers"):
-            ServingRuntime(artifact_for(), workers=0)
+            ServingRuntime(artifact_for(), ServeConfig(workers=0))
 
     def test_missing_artifact_fails_at_init(self, tmp_path):
         with pytest.raises(Exception):
-            ServingRuntime(str(tmp_path / "nope"), workers=2, retry=FAST_RETRY)
+            ServingRuntime(
+                str(tmp_path / "nope"), ServeConfig(workers=2, retry=FAST_RETRY)
+            )
 
-    def test_pooled_embedding_is_rejected(self, artifact_for):
-        from repro.serve.engine import InferenceEngine
+    @pytest.mark.parametrize("bad", [[1.5, 2, 3, 4], [True, False, True, True]])
+    def test_non_integer_ids_raise_before_any_worker_sees_them(
+        self, artifact_for, bad
+    ):
+        with ServeSession.load(
+            artifact_for(), ServeConfig(workers=2, retry=FAST_RETRY)
+        ) as session:
+            with pytest.raises(TypeError, match="integers"):
+                session.predict(np.asarray([bad]))
+            stats = session.stats()
+            assert stats["worker_deaths"] == 0
+            assert stats["workers_degraded"] == 0
 
-        pooled = InferenceEngine(build_model("memcom"))
-        pooled._embed_pooled, pooled._embed_rows = (lambda ids: None), None
-        with pytest.raises(ValueError, match="not per-id"):
-            ServingRuntime(artifact_for(), workers=2, engine=pooled)
+    @pytest.mark.parametrize("architecture", ["classifier", "pointwise", "ranknet"])
+    def test_empty_batch_returns_empty_scores(self, artifact_for, architecture):
+        path = artifact_for("memcom", 32, architecture)
+        empty = np.empty((0, LENGTH), np.int64)
+        width = ServeSession.load(path).predict(_traffic(1)).shape[1]
+        for workers in (0, 2):
+            config = ServeConfig(workers=workers, retry=FAST_RETRY if workers else None)
+            with ServeSession.load(path, config) as session:
+                out = session.predict(empty)
+                assert out.shape == (0, width) and out.dtype == np.float32
+                if workers:
+                    assert session.stats()["worker_deaths"] == 0
 
     def test_close_is_idempotent_and_final(self, artifact_for):
-        runtime = ServingRuntime(artifact_for(), workers=2, retry=FAST_RETRY)
+        config = ServeConfig(workers=2, retry=FAST_RETRY)
+        runtime = ServingRuntime(artifact_for(), config)
         procs = [w.process for w in runtime.supervisor.workers]
         runtime.predict(_traffic(4))
         runtime.close()
@@ -115,7 +141,9 @@ class TestLifecycleAndErrors:
             runtime.predict(_traffic(4))
 
     def test_stats_and_health_report_shape(self, artifact_for):
-        with ServingRuntime(artifact_for(), workers=2, retry=FAST_RETRY) as runtime:
+        with ServingRuntime(
+            artifact_for(), ServeConfig(workers=2, retry=FAST_RETRY)
+        ) as runtime:
             runtime.predict(_traffic(8))
             stats = runtime.stats()
             for key in (

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from repro.serve import ServeSession, ServingRuntime
+from repro.serve import ServeConfig, ServeSession, ServingRuntime
 from repro.serve.runtime import FaultSpec, RetryPolicy
 
 from .conftest import FAST_RETRY, LENGTH, VOCAB
@@ -21,7 +21,7 @@ class TestRespawn:
         path = artifact_for()
         ids = _traffic()
         expected = ServeSession.load(path).predict(ids)
-        with ServingRuntime(path, workers=2, retry=FAST_RETRY) as runtime:
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
             np.testing.assert_array_equal(runtime.predict(ids), expected)
             victim = runtime.supervisor.workers[0].process
             victim.kill()
@@ -39,7 +39,7 @@ class TestRespawn:
         expected = ServeSession.load(path).predict(ids)
         faults = {0: FaultSpec(kill_on=1)}
         with ServingRuntime(
-            path, workers=2, retry=FAST_RETRY, faults=faults
+            path, ServeConfig(workers=2, retry=FAST_RETRY), faults=faults
         ) as runtime:
             np.testing.assert_array_equal(runtime.predict(ids), expected)
             stats = runtime.stats()
@@ -49,6 +49,34 @@ class TestRespawn:
             assert stats["workers_degraded"] == 0
             # respawned worker is clean (faults_persist defaults to False)
             np.testing.assert_array_equal(runtime.predict(ids), expected)
+
+    def test_second_batch_goes_to_the_second_worker(self, artifact_for):
+        path = artifact_for()
+        ids = _traffic()
+        expected = ServeSession.load(path).predict(ids)
+        faults = {1: FaultSpec(kill_on=1)}
+        with ServingRuntime(
+            path, ServeConfig(workers=2, retry=FAST_RETRY), faults=faults
+        ) as runtime:
+            np.testing.assert_array_equal(runtime.predict(ids), expected)
+            assert runtime.qos.worker_deaths == 0  # worker 0 answered
+            np.testing.assert_array_equal(runtime.predict(ids), expected)
+            assert runtime.qos.worker_deaths >= 1  # round-robin reached worker 1
+            assert runtime.stats()["workers_degraded"] == 0
+
+
+    def test_swap_right_after_a_reply_starts_every_new_worker(self, artifact_for):
+        """A worker killed after writing a reply but before releasing its
+        queue's write lock must not wedge the workers spawned after it."""
+        path = artifact_for()
+        ids = _traffic(8)
+        engine = ServeSession.load(path).engine
+        expected = engine.predict(ids)
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
+            for _ in range(20):
+                np.testing.assert_array_equal(runtime.predict(ids), expected)
+                runtime.hot_swap(path, engine, timeout_s=5.0)
+            assert runtime.qos.worker_deaths == 0
 
 
 class TestDegradation:
@@ -60,7 +88,9 @@ class TestDegradation:
             timeout_s=0.5, max_attempts=1, backoff_base_s=0.02, backoff_max_s=0.2
         )
         faults = {0: FaultSpec(kill_on=1)}
-        with ServingRuntime(path, workers=2, retry=retry, faults=faults) as runtime:
+        with ServingRuntime(
+            path, ServeConfig(workers=2, retry=retry), faults=faults
+        ) as runtime:
             np.testing.assert_array_equal(runtime.predict(ids), expected)
             stats = runtime.stats()
             assert stats["workers_degraded"] == 1
@@ -74,7 +104,8 @@ class TestDegradation:
         expected = ServeSession.load(path).predict(ids)
         faults = {0: FaultSpec(kill_on=1)}
         with ServingRuntime(
-            path, workers=2, retry=FAST_RETRY, faults=faults, faults_persist=True
+            path, ServeConfig(workers=2, retry=FAST_RETRY), faults=faults,
+            faults_persist=True,
         ) as runtime:
             np.testing.assert_array_equal(runtime.predict(ids), expected)
             stats = runtime.stats()
@@ -91,18 +122,25 @@ class TestDegradation:
             timeout_s=0.5, max_attempts=1, backoff_base_s=0.02, backoff_max_s=0.2
         )
         faults = {0: FaultSpec(kill_on=1), 1: FaultSpec(kill_on=1)}
-        with ServingRuntime(path, workers=2, retry=retry, faults=faults) as runtime:
-            np.testing.assert_array_equal(runtime.predict(ids), expected)
+        with ServingRuntime(
+            path, ServeConfig(workers=2, retry=retry), faults=faults
+        ) as runtime:
+            # Round-robin: each batch kills the next worker, and the parent's
+            # engine answers it, until none is left.
+            for _ in range(2):
+                assert not runtime.degraded
+                np.testing.assert_array_equal(runtime.predict(ids), expected)
             assert runtime.degraded
             assert runtime.stats()["workers_degraded"] == 2
             # fully degraded runtime keeps serving, single-process style
             np.testing.assert_array_equal(runtime.predict(ids), expected)
-            assert runtime.stats()["fallback_requests"] >= 1
+            assert runtime.stats()["fallback_requests"] == 3
 
 
 class TestCleanShutdown:
     def test_close_reaps_every_worker_process(self, artifact_for):
-        runtime = ServingRuntime(artifact_for(), workers=3, retry=FAST_RETRY)
+        config = ServeConfig(workers=3, retry=FAST_RETRY)
+        runtime = ServingRuntime(artifact_for(), config)
         procs = [w.process for w in runtime.supervisor.workers]
         runtime.predict(_traffic(8))
         runtime.close()

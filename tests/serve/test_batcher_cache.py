@@ -81,6 +81,21 @@ class TestBatcherCoalescing:
         assert len(batcher) == 1  # the valid request is still queued
         assert len(batcher.flush()) == 1
 
+    def test_rejects_non_integer_ids_at_submit(self):
+        """In range but not integers: a float row would fail its whole
+        flush, and bools would index the cache's id map as a mask."""
+        engine, _ = _engine(cache_rows=64)
+        batcher = Batcher(engine)
+        valid = batcher.submit(np.arange(L, dtype=np.int64))
+        for bad in (np.full(L, 1.5), np.ones(L, dtype=bool)):
+            with pytest.raises(TypeError, match=str(bad.dtype)):
+                batcher.submit(bad)
+        assert len(batcher) == 1
+        batcher.flush()
+        np.testing.assert_array_equal(
+            valid.result, engine.predict(np.arange(L)[None, :])[0]
+        )
+
     def test_flush_failure_keeps_served_results_and_requeues_rest(self):
         engine, _ = _engine()
         batcher = Batcher(engine, max_batch=2)

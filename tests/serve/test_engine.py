@@ -142,6 +142,12 @@ class TestEngineValidation:
         with pytest.raises(IndexError):
             engine.predict(np.full((1, L), -1, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_rejects_non_integer_ids(self, dtype):
+        engine = InferenceEngine(_model(), cache_rows=64)
+        with pytest.raises(TypeError, match=np.dtype(dtype).name):
+            engine.predict(np.ones((1, L), dtype=dtype))
+
     def test_rejects_unknown_model(self):
         with pytest.raises(TypeError):
             InferenceEngine(object())
