@@ -3,10 +3,9 @@
 Serving traffic arrives as independent requests (one user's id sequence, or
 a single id when ``input_length`` is 1).  Running the engine per request
 wastes the substrate's vectorization; the :class:`Batcher` queues requests
-and serves the whole queue in ``(max_batch, L)`` stacked batches, then
-hands each request exactly the score row it would have received alone —
-coalescing changes throughput, never results
-(``tests/serve/test_batcher_cache.py``).
+and serves the whole queue in ``(max_batch, L)`` batches, then hands each
+request exactly the score row it would have received alone — coalescing
+changes throughput, never results (``tests/serve/test_batcher_cache.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,14 @@ __all__ = ["Batcher", "PendingRequest"]
 
 
 class PendingRequest:
-    """A submitted request; ``result`` is populated by the next ``flush()``.
+    """A submitted request, resolved by the next ``flush()``.
+
+    The request holds no ids: :meth:`Batcher.submit` copies them into the
+    batcher's own staging rows, so the caller may reuse or mutate its
+    buffer at once.  A flush resolves the request one of two ways:
+    ``result`` gets its score row, or — when an id lies outside
+    ``[0, vocab_size)`` — ``error`` gets the ``ValueError`` naming the
+    range, and the request is dropped without reaching the engine.
 
     ``latency_ms`` is the request's *own* wall-clock wait, submit→resolve:
     the clock starts when :meth:`Batcher.submit` accepts the request and
@@ -31,29 +37,49 @@ class PendingRequest:
     keeps its original start, so recovery time counts against it too.
     """
 
-    __slots__ = ("ids", "result", "submitted_at", "latency_ms")
+    __slots__ = ("result", "error", "submitted_at", "latency_ms", "_unsigned")
 
-    def __init__(self, ids: np.ndarray) -> None:
-        self.ids = ids
+    def __init__(self, unsigned: bool = False) -> None:
         self.result: np.ndarray | None = None
+        self.error: ValueError | None = None
         self.submitted_at = time.perf_counter()
         self.latency_ms: float | None = None
+        # Submitted as an unsigned dtype: uint64 ids >= 2**63 stage as
+        # negative int64, so the error message reads the row back unsigned.
+        self._unsigned = unsigned
 
     @property
     def done(self) -> bool:
-        return self.result is not None
+        """Resolved: served (``result``) or rejected (``error``)."""
+        return self.result is not None or self.error is not None
 
 
 class Batcher:
     """Coalesce single requests into batched :meth:`InferenceEngine.predict` calls.
+
+    The batcher owns its request ids.  :meth:`submit` checks a request's
+    dtype and shape, copies its ids into a grow-only ``(n, input_length)``
+    int64 staging array and queues a :class:`PendingRequest`; :meth:`flush`
+    range-checks every staged row with one vectorized comparison and serves
+    ``max_batch``-row slices of the staging array.  A request with an id
+    outside ``[0, vocab_size)`` never reaches the engine: it is resolved
+    with ``error`` set, its co-riders are served in exactly the batches
+    they would have had without it, and the flush then raises its error.
+    One bad request therefore cannot poison the requests coalesced with it.
 
     By default flushing is explicit (the measurement loops own their batch
     boundaries).  With ``max_delay_ms`` set, the batcher self-flushes on
     :meth:`submit` once the batch is full **or** the oldest queued request
     has waited past the deadline — a latency SLO for trickling traffic: no
     request waits longer than ``max_delay_ms`` for co-riders, and a full
-    batch never waits at all.  Auto-flushed requests carry their results on
-    ``PendingRequest.result`` exactly as a manual flush would set them.
+    batch never waits at all.  Auto-flushed requests resolve exactly as a
+    manual flush would resolve them, and an auto-flush that rejects a
+    request raises its error out of ``submit``.
+
+    One thread drives a batcher; ``submit`` and ``flush`` do not nest.  The
+    staging width follows the engine's ``input_length`` at submit time, so
+    replace ``engine`` only with an empty queue (``ServeSession.hot_swap``
+    drains first).
     """
 
     def __init__(
@@ -72,6 +98,8 @@ class Batcher:
         self.max_batch = int(max_batch)
         self.max_delay_ms = float(max_delay_ms) if max_delay_ms is not None else None
         self._pending: list[PendingRequest] = []
+        #: row i holds the ids of ``_pending[i]``; rows past the queue are scratch
+        self._staged = np.empty((0, 0), dtype=np.int64)
         self._oldest_pending_at: float | None = None
         self.auto_flushes = 0
 
@@ -82,25 +110,23 @@ class Batcher:
         """Queue one request: an ``(input_length,)`` id sequence, or a bare
         id when the model's input length is 1.
 
-        Invalid requests are rejected *here* — dtype, shape and id range —
-        so one bad request can never poison a later batched flush for
-        everyone coalesced with it.
+        Dtype and shape are checked here; the ids are copied, so the caller
+        keeps ownership of its buffer.  The id range is checked at flush.
         """
         ids = np.asarray(ids)
-        if ids.dtype.kind not in "iu":
+        kind = ids.dtype.kind
+        if kind not in "iu":
             raise TypeError(f"request ids must be integers, got {ids.dtype}")
         if ids.ndim == 0:
             ids = ids[None]
-        if ids.ndim != 1 or ids.shape[0] != self.engine.input_length:
-            raise ValueError(
-                f"request must be ({self.engine.input_length},) ids, got shape {ids.shape}"
-            )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.engine.vocab_size):
-            raise ValueError(
-                f"request ids out of range [0, {self.engine.vocab_size}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        request = PendingRequest(ids)
+        length = self.engine.input_length
+        if ids.shape != (length,):
+            raise ValueError(f"request must be ({length},) ids, got shape {ids.shape}")
+        n = len(self._pending)
+        if n == self._staged.shape[0] or self._staged.shape[1] != length:
+            self._grow(n, length)
+        self._staged[n] = ids
+        request = PendingRequest(kind == "u")
         self._pending.append(request)
         if self.max_delay_ms is not None:
             if self._oldest_pending_at is None:
@@ -108,46 +134,87 @@ class Batcher:
             overdue = (
                 1e3 * (time.monotonic() - self._oldest_pending_at) >= self.max_delay_ms
             )
-            if len(self._pending) >= self.max_batch or overdue:
+            if n + 1 >= self.max_batch or overdue:
                 self.auto_flushes += 1
                 self.flush()
         return request
 
+    def _grow(self, n: int, length: int) -> None:
+        """Room for at least one more staged row of ``length`` ids."""
+        staged = self._staged
+        grown = np.empty((max(2 * n, self.max_batch), length), dtype=np.int64)
+        if n:
+            if staged.shape[1] != length:
+                raise ValueError(
+                    f"engine input_length changed from {staged.shape[1]} to "
+                    f"{length} with {n} requests queued; flush before "
+                    "replacing the engine"
+                )
+            grown[:n] = staged[:n]
+        self._staged = grown
+
     def flush(self) -> list[np.ndarray]:
-        """Serve every pending request in ``max_batch``-sized stacked batches.
+        """Serve every pending request in ``max_batch``-row batches.
 
         Returns the per-request score rows in submission order (also set on
-        each request's ``.result``) and clears the queue.  Results are
-        assigned per sub-batch as computed; if the engine fails mid-flush —
-        with *any* exception, ``BaseException`` included, so a
-        ``KeyboardInterrupt`` or an alarm-driven timeout cannot silently
-        drop traffic — already-served requests keep their results and every
-        undelivered request goes back on the queue.  The latency-deadline
-        clock is restored along with them: a requeued request keeps its
-        original wait start, so ``max_delay_ms`` still counts from when it
-        was first submitted, not from when the engine recovered.
+        each request's ``.result``) and clears the queue.  Requests with an
+        id outside ``[0, vocab_size)`` are dropped before any engine call
+        and never requeued: each gets its ``ValueError`` on ``.error``, the
+        others are served as if they had been submitted alone, and the
+        flush then raises the first rejected request's error.
+
+        Results are assigned per batch as computed.  If anything in the
+        flush fails — with *any* exception, ``BaseException`` included, so
+        a ``KeyboardInterrupt`` or an alarm-driven timeout cannot silently
+        drop traffic — already-resolved requests keep their results and
+        every undelivered request goes back on the queue with its staged
+        ids.  The latency-deadline clock is restored along with them: a
+        requeued request keeps its original wait start, so ``max_delay_ms``
+        still counts from when it was first submitted, not from when the
+        engine recovered.
         """
         pending, self._pending = self._pending, []
         oldest, self._oldest_pending_at = self._oldest_pending_at, None
         if not pending:
             return []
-        batch = np.stack([r.ids for r in pending])
-        results: list[np.ndarray] = []
-        for start in range(0, batch.shape[0], self.max_batch):
-            try:
-                scores = self.engine.predict(batch[start : start + self.max_batch])
-            except BaseException:
-                self._pending = pending[start:] + self._pending
+        # ``queue`` and ``rows`` are the requests still to serve and their
+        # ids; ``queue[:served]`` have their results.
+        queue, rows = pending, self._staged[: len(pending)]
+        served = 0
+        rejected: list[int] = []
+        try:
+            vocab = self.engine.vocab_size
+            # Under the unsigned view a negative id reads as a huge one, so
+            # one comparison covers both ends of the range.
+            if rows.view(np.uint64).max(initial=0) >= vocab:
+                bad = (rows.view(np.uint64) >= vocab).any(axis=1)
+                rejected = np.flatnonzero(bad).tolist()
+                for i in rejected:
+                    pending[i].error = _range_error(pending[i], rows[i], vocab)
+                keep = np.flatnonzero(~bad)
+                queue, rows = [pending[i] for i in keep.tolist()], rows[keep]
+            results: list[np.ndarray] = []
+            for start in range(0, len(queue), self.max_batch):
+                scores = self.engine.predict(rows[start : start + self.max_batch])
+                resolved_at = time.perf_counter()
+                for request, row in zip(queue[start : start + self.max_batch], scores):
+                    request.result = row
+                    request.latency_ms = 1e3 * (resolved_at - request.submitted_at)
+                    served += 1
+                results.extend(scores)
+        except BaseException:
+            # Undelivered requests go back to the head of the queue and their
+            # ids to the leading staging rows, which ``rows`` may overlap.
+            if served < len(queue):
+                self._staged[: len(queue) - served] = rows[served:]
+                self._pending = queue[served:]
                 if self.max_delay_ms is not None:
                     self._oldest_pending_at = (
                         oldest if oldest is not None else time.monotonic()
                     )
-                raise
-            resolved_at = time.perf_counter()
-            for request, row in zip(pending[start:], scores):
-                request.result = row
-                request.latency_ms = 1e3 * (resolved_at - request.submitted_at)
-            results.extend(scores)
+            raise
+        if rejected:
+            raise pending[rejected[0]].error
         return results
 
     def serve(self, requests) -> list[np.ndarray]:
@@ -155,3 +222,12 @@ class Batcher:
         for ids in requests:
             self.submit(ids)
         return self.flush()
+
+
+def _range_error(request: PendingRequest, ids: np.ndarray, vocab: int) -> ValueError:
+    """The rejection of one staged row, its ids read in the submitted sign."""
+    if request._unsigned:
+        ids = ids.view(np.uint64)
+    return ValueError(
+        f"request ids out of range [0, {vocab}): [{ids.min()}, {ids.max()}]"
+    )

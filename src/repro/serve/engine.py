@@ -521,9 +521,10 @@ class InferenceEngine:
         self.batches_served += 1
         return self._tower(h)
 
-    def predict_one(self, ids: np.ndarray) -> np.ndarray:
-        """Scores for a single request (an ``(input_length,)`` id sequence)."""
-        return self.predict(np.asarray(ids)[None, :])[0]
+    def predict_one(self, ids: np.ndarray | int) -> np.ndarray:
+        """Scores for a single request: an ``(input_length,)`` id sequence,
+        or a bare id when the input length is 1 (as ``Batcher.submit``)."""
+        return self.predict(np.atleast_1d(ids)[None, :])[0]
 
     def __repr__(self) -> str:
         cache = f", cache={self.cache.capacity} rows" if self.cache else ""

@@ -371,8 +371,9 @@ class ServingRuntime:
         self.qos.record_batch(1e3 * (time.perf_counter() - start), ids.shape[0])
         return out
 
-    def predict_one(self, ids: np.ndarray) -> np.ndarray:
-        return self.predict(np.asarray(ids)[None, :])[0]
+    def predict_one(self, ids: np.ndarray | int) -> np.ndarray:
+        """Scores for one request; a bare id when ``input_length`` is 1."""
+        return self.predict(np.atleast_1d(ids)[None, :])[0]
 
     def _pick_worker(self) -> _WorkerHandle | None:
         """The next live worker after the last one used (round-robin)."""

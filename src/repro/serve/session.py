@@ -283,7 +283,11 @@ class ServeSession:
            touched: a failed swap leaves the session exactly as it was.
         2. **Drain.**  Pending batcher requests are flushed against the
            *old* plan — every request answered by the model that was live
-           when it was submitted; nothing is dropped or re-scored.
+           when it was submitted; nothing is dropped or re-scored.  If the
+           drain rejects a request (an id out of range), its ``ValueError``
+           propagates before the cut-over: the queue is drained, the old
+           plan stays live, and calling ``hot_swap`` again adopts the new
+           artifact.
         3. **Cut over.**  ``workers >= 1`` runtimes respawn every replica
            from the new artifact (the same Supervisor respawn path
            that heals crashes), then the session's engine/artifact
@@ -315,16 +319,26 @@ class ServeSession:
         """Scores for a ``(B, input_length)`` batch (see engine.predict)."""
         return self._predictor.predict(ids)
 
-    def predict_one(self, ids: np.ndarray) -> np.ndarray:
-        """Scores for a single ``(input_length,)`` request."""
+    def predict_one(self, ids: np.ndarray | int) -> np.ndarray:
+        """Scores for a single ``(input_length,)`` request (or a bare id
+        when ``input_length`` is 1)."""
         return self._predictor.predict_one(ids)
 
     def submit(self, ids: np.ndarray | int) -> PendingRequest:
-        """Queue one request on the batcher (auto-flushes per config)."""
+        """Queue one request on the batcher (auto-flushes per config).
+
+        The ids are copied, so the caller may reuse its buffer; their range
+        is checked when the request is flushed (see ``Batcher.flush``).
+        """
         return self.batcher.submit(ids)
 
     def flush(self) -> list[np.ndarray]:
-        """Serve everything pending; returns per-request score rows."""
+        """Serve everything pending; returns per-request score rows.
+
+        A request with an out-of-range id gets its ``ValueError`` on
+        ``.error`` instead of a result; the rest are served, then the first
+        such error is raised.
+        """
         return self.batcher.flush()
 
     def serve(self, requests) -> list[np.ndarray]:

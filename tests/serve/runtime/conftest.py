@@ -63,27 +63,39 @@ def hard_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
-def build_model(technique: str, seed: int = 0, architecture: str = "pointwise"):
+def build_model(
+    technique: str,
+    seed: int = 0,
+    architecture: str = "pointwise",
+    input_length: int = LENGTH,
+):
     return _BUILDERS[architecture](
-        technique, VOCAB, ITEMS, input_length=LENGTH, embedding_dim=DIM,
+        technique, VOCAB, ITEMS, input_length=input_length, embedding_dim=DIM,
         rng=seed, **_HYPER[technique],
     )
 
 
 @pytest.fixture(scope="session")
 def artifact_for(tmp_path_factory):
-    """``artifact_for(technique, bits, architecture) -> path`` (built once
-    per combo)."""
+    """``artifact_for(technique, bits, architecture, input_length) -> path``
+    (built once per combo)."""
     root = tmp_path_factory.mktemp("runtime-artifacts")
     cache: dict[tuple, str] = {}
 
     def factory(
-        technique: str = "memcom", bits: int = 32, architecture: str = "pointwise"
+        technique: str = "memcom",
+        bits: int = 32,
+        architecture: str = "pointwise",
+        input_length: int = LENGTH,
     ) -> str:
-        key = (technique, bits, architecture)
+        key = (technique, bits, architecture, input_length)
         if key not in cache:
-            path = os.path.join(root, f"{architecture}-{technique}-{bits}")
-            model = build_model(technique, architecture=architecture)
+            path = os.path.join(
+                root, f"{architecture}-{technique}-{bits}-L{input_length}"
+            )
+            model = build_model(
+                technique, architecture=architecture, input_length=input_length
+            )
             save_artifact(model, path, bits=bits)
             cache[key] = path
         return cache[key]

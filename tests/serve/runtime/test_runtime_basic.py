@@ -49,6 +49,12 @@ class TestBitIdentical:
         with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
             np.testing.assert_array_equal(runtime.predict_one(row), expected)
 
+    def test_predict_one_accepts_a_bare_id_at_length_one(self, artifact_for):
+        path = artifact_for(input_length=1)
+        expected = ServeSession.load(path).predict(np.array([[5]]))[0]
+        with ServingRuntime(path, ServeConfig(workers=1, retry=FAST_RETRY)) as runtime:
+            np.testing.assert_array_equal(runtime.predict_one(5), expected)
+
 
 class TestFrontDoors:
     def test_batcher_coalesces_over_the_runtime(self, artifact_for):

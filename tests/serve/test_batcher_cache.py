@@ -69,17 +69,30 @@ class TestBatcherCoalescing:
         with pytest.raises(ValueError):
             Batcher(engine, max_batch=0)
 
-    def test_rejects_out_of_range_ids_at_submit(self):
-        """One bad request must never poison a coalesced flush."""
+    def test_rejects_out_of_range_ids_at_flush(self):
+        """One bad request must never poison a coalesced flush: its
+        co-riders are served, it carries the error, the flush raises it,
+        and the queue ends empty."""
         engine, _ = _engine()
-        batcher = Batcher(engine)
-        batcher.submit(np.zeros(L, dtype=np.int64))
-        with pytest.raises(ValueError):
-            batcher.submit(np.full(L, V, dtype=np.int64))
-        with pytest.raises(ValueError):
-            batcher.submit(np.full(L, -1, dtype=np.int64))
-        assert len(batcher) == 1  # the valid request is still queued
-        assert len(batcher.flush()) == 1
+        batcher = Batcher(engine, max_batch=2)
+        rng = np.random.default_rng(5)
+        valid = rng.integers(0, V, size=(3, L))
+        served = [batcher.submit(valid[0])]
+        high = batcher.submit(np.full(L, V, dtype=np.int64))
+        served.append(batcher.submit(valid[1]))
+        low = batcher.submit(np.full(L, -1, dtype=np.int64))
+        served.append(batcher.submit(valid[2]))
+        with pytest.raises(ValueError, match=rf"\[0, {V}\): \[{V}, {V}\]") as raised:
+            batcher.flush()
+        assert raised.value is high.error  # the first rejected request's
+        assert str(low.error) == f"request ids out of range [0, {V}): [-1, -1]"
+        assert high.result is None and low.result is None
+        assert len(batcher) == 0
+        assert engine.requests_served == 3  # the bad rows never reached it
+        want = Batcher(engine, max_batch=2).serve(valid)
+        for pending, row in zip(served, want):
+            assert pending.error is None
+            np.testing.assert_array_equal(pending.result, row)
 
     def test_rejects_non_integer_ids_at_submit(self):
         """In range but not integers: a float row would fail its whole
@@ -96,11 +109,18 @@ class TestBatcherCoalescing:
             valid.result, engine.predict(np.arange(L)[None, :])[0]
         )
 
-    def test_flush_failure_keeps_served_results_and_requeues_rest(self):
+    @pytest.mark.parametrize("with_bad_row", [False, True])
+    def test_flush_failure_keeps_served_results_and_requeues_rest(self, with_bad_row):
+        """Requeued requests keep their staged ids; a rejected one is
+        resolved with its error and not requeued."""
         engine, _ = _engine()
         batcher = Batcher(engine, max_batch=2)
         rng = np.random.default_rng(9)
-        pendings = [batcher.submit(rng.integers(0, V, size=L)) for _ in range(5)]
+        requests = rng.integers(0, V, size=(5, L))
+        pendings = [batcher.submit(ids) for ids in requests[:2]]
+        if with_bad_row:
+            bad = batcher.submit(np.full(L, -1, dtype=np.int64))
+        pendings += [batcher.submit(ids) for ids in requests[2:]]
         calls = {"n": 0}
         real_predict = engine.predict
 
@@ -117,9 +137,14 @@ class TestBatcherCoalescing:
         assert pendings[0].done and pendings[1].done
         assert not pendings[2].done
         assert len(batcher) == 3
+        if with_bad_row:
+            assert bad.error is not None and bad.result is None
         engine.predict = real_predict
         results = batcher.flush()
         assert len(results) == 3 and all(p.done for p in pendings)
+        want = Batcher(engine, max_batch=2).serve(requests)
+        for pending, row in zip(pendings, want):
+            np.testing.assert_array_equal(pending.result, row)
 
     def test_flush_interrupted_by_base_exception_requeues_everything(self):
         """KeyboardInterrupt (or an alarm-driven timeout) is not `Exception`

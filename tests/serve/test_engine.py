@@ -128,6 +128,21 @@ class TestEngineMatchesEager:
         for i in range(4):
             np.testing.assert_array_equal(engine.predict_one(batch[i]), rows[i])
 
+    def test_predict_one_accepts_a_bare_id_at_length_one(self):
+        """As ``Batcher.submit`` does: at input_length 1 a request may be a
+        bare id, and a bare id is still the wrong shape at any other length."""
+        model = build_pointwise_ranker(
+            "memcom", V, C, input_length=1, embedding_dim=E, rng=3,
+            **TECHNIQUES["memcom"],
+        )
+        engine = InferenceEngine(model)
+        rows = engine.predict(np.array([[5], [V - 1]]))
+        np.testing.assert_array_equal(engine.predict_one(5), rows[0])
+        np.testing.assert_array_equal(engine.predict_one(np.int64(V - 1)), rows[1])
+        np.testing.assert_array_equal(engine.predict_one(np.array([5])), rows[0])
+        with pytest.raises(ValueError):
+            InferenceEngine(_model()).predict_one(5)
+
 
 class TestEngineValidation:
     def test_rejects_wrong_length(self):

@@ -56,6 +56,28 @@ class TestHotSwapSingleProcess:
             assert session.swaps == 1
             assert session.stats()["hot_swaps"] == 1
 
+    def test_drain_rejecting_a_request_stops_before_the_cut_over(self, two_artifacts):
+        """The drain range-checks like any flush: it answers the valid
+        requests on the old plan, then raises the bad one's error before
+        the cut-over, and the next ``hot_swap`` adopts the artifact."""
+        old, new = two_artifacts
+        ids = _requests()
+        with ServeSession.load(old) as cold_old:
+            want_old = cold_old.predict(ids)
+        with ServeSession.load(new) as cold_new:
+            want_new = cold_new.predict(ids)
+        with ServeSession.load(old) as session:
+            pending = [session.submit(row) for row in ids]
+            bad = session.submit(np.full(LENGTH, VOCAB))
+            with pytest.raises(ValueError, match="out of range"):
+                session.hot_swap(new)
+            assert bad.error is not None and len(session.batcher) == 0
+            assert np.array_equal(np.stack([req.result for req in pending]), want_old)
+            assert session.swaps == 0
+            assert np.array_equal(session.predict(ids), want_old)
+            session.hot_swap(new)
+            assert np.array_equal(session.predict(ids), want_new)
+
     def test_post_swap_equals_cold_load(self, two_artifacts):
         old, new = two_artifacts
         ids = _requests()
