@@ -15,8 +15,9 @@ is deliberately boring:
   the payload index (dtype, shape, byte count, sha256 content hash per
   payload), the tower plan (kind, pooling, scalar metadata, array names),
   and the embedding section — either an FP32 rebuild spec + state-dict
-  names, or the quantized metadata (mode, per-table layout, calibration
-  percentile) of a :class:`repro.quant.QuantizedEmbedding`.
+  names, or the quantized metadata (frozen-form tree, per-table layout,
+  calibration percentile) of a :class:`repro.quant.QuantizedEmbedding`,
+  whose every form table is one codes + scales payload pair.
 * **payloads** are raw bytes — ``np.ndarray.tobytes()`` on save,
   ``np.frombuffer`` on load — so an int8 table costs one byte per code on
   disk, which is what makes the int8 artifact ≤ 0.35× its FP32 sibling.
@@ -651,6 +652,43 @@ def _patch_rows(parent: "ModelArtifact | None", name: str, meta: dict,
 # -- the artifact object ----------------------------------------------------------
 
 
+def _legacy_quant_meta(meta: dict, tables: dict) -> dict:
+    """Read a quantized section written before frozen forms.
+
+    Those writers stored a ``mode`` instead of a form.  The table, memcom
+    and tt_rec modes stored the same per-table payloads a form stores, so
+    they map onto the equivalent form.  The module mode stored an FP32
+    working copy, which this runtime no longer serves.
+    """
+    def gather(table, *index):
+        return {"gather": table, "index": list(index) or ["id"]}
+
+    mode = meta["mode"]
+    if mode == "table":
+        keep = meta.get("remap_keep")
+        form = gather("table") if keep is None else gather("table", "clip", keep)
+    elif mode == "memcom":
+        mul = [gather("shared", "mod", meta["num_hash"]), gather("multiplier")]
+        form = {"combine": "mul", "parts": mul, "args": []}
+        if "bias" in tables:
+            form = {"combine": "add", "parts": [form, gather("bias")], "args": []}
+    elif mode == "tt_rec":
+        _, v2, v3 = meta["vocab_shape"]
+        digits = [gather("core1", "div", v2 * v3), gather("core2", "digit", v3, v2),
+                  gather("core3", "mod", v3)]
+        form = {"combine": "tt", "parts": digits,
+                "args": [*meta["dim_shape"], meta["tt_rank"]]}
+    elif mode == "module":
+        raise ArtifactFormatError(
+            f"this int{meta['bits']} artifact stores {meta['technique']!r} in the "
+            "retired quantized module mode (an FP32 working copy), which is no "
+            "longer served; re-export it from the FP32 artifact or model"
+        )
+    else:
+        raise ArtifactFormatError(f"unknown quantized mode {mode!r}")
+    return {**meta, "form": form}
+
+
 class ModelArtifact:
     """A loaded (or freshly written) container: manifest + named arrays.
 
@@ -764,26 +802,6 @@ class ModelArtifact:
         arrays = {key: self.array(f"tower/{key}") for key in tower["arrays"]}
         return TowerPlan(tower["kind"], int(tower["pool"]), meta=meta, arrays=arrays)
 
-    def _module_from_state(self, spec: dict, prefix: str):
-        # lazy=True: every parameter is replaced by the state load two lines
-        # down, so random-filling a vocab-size table first is pure waste —
-        # and would materialize the very pages an mmap load avoids touching.
-        emb = build_embedding_from_spec(spec, lazy=True)
-        state_keys = self.manifest["embedding"]["state"]
-        state = {key: self.array(f"{prefix}{key}") for key in state_keys}
-        try:
-            # mmap arrays are adopted without copying (copy=False) — the
-            # zero-copy chain artifact → module → engine; eager arrays are
-            # already this artifact's own copies but stay owned by it, so
-            # they are copied into the module as before.
-            emb.load_state_dict(state, copy=not self.mmap_backed)
-        except (KeyError, ValueError) as exc:
-            raise ArtifactFormatError(
-                f"embedding state does not fit spec {spec.get('class')!r}: {exc}"
-            ) from exc
-        emb.eval()
-        return emb
-
     def serving_embedding(self):
         """The embedding in its serving form.
 
@@ -794,7 +812,23 @@ class ModelArtifact:
         section = self.manifest["embedding"]
         kind = section.get("kind")
         if kind == "fp32":
-            return self._module_from_state(section["spec"], "embedding/")
+            # lazy=True: every parameter is replaced by the state load below,
+            # so random-filling a vocab-size table first is pure waste — and
+            # would materialize the very pages an mmap load avoids touching.
+            spec = section["spec"]
+            emb = build_embedding_from_spec(spec, lazy=True)
+            state = {key: self.array(f"embedding/{key}") for key in section["state"]}
+            try:
+                # mmap arrays are adopted without copying (copy=False) — the
+                # zero-copy chain artifact → module → engine; eager arrays
+                # are already this artifact's own copies but stay owned by
+                # it, so they are copied into the module as before.
+                emb.load_state_dict(state, copy=not self.mmap_backed)
+            except (KeyError, ValueError) as exc:
+                raise ArtifactFormatError(
+                    f"embedding state does not fit spec {spec.get('class')!r}: {exc}"
+                ) from exc
+            return emb.eval()
         if kind != "quantized":
             raise ArtifactFormatError(f"unknown embedding kind {kind!r}")
         # The payload hashes only prove the tensors are intact; a manifest
@@ -802,9 +836,8 @@ class ModelArtifact:
         # must still fail typed, never with a raw KeyError.
         try:
             meta = section["quant"]
-            if meta["mode"] == "module":
-                module = self._module_from_state(section["spec"], "embedding/module/")
-                return QuantizedEmbedding.from_state(meta, module=module)
+            if "form" not in meta:
+                meta = _legacy_quant_meta(meta, section.get("tables", {}))
             tables: dict[str, QuantizedTable] = {}
             for name, tmeta in section["tables"].items():
                 tables[name] = QuantizedTable(
@@ -814,7 +847,7 @@ class ModelArtifact:
                     int(tmeta["dim"]),
                     per_row=bool(tmeta["per_row"]),
                 )
-            return QuantizedEmbedding.from_state(meta, tables=tables)
+            return QuantizedEmbedding.from_state(meta, tables)
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactFormatError(
                 f"malformed quantized embedding section: {exc!r}"
@@ -908,27 +941,21 @@ def collect_artifact(
             {"kind": "fp32", "spec": spec, "state": sorted(state)}
         )
     else:
-        qemb = quantize_embedding(emb, bits, percentile=percentile)
-        meta, tables, module = qemb.state()
-        embedding_section.update({"kind": "quantized", "quant": meta})
-        if module is not None:
-            spec = embedding_spec(module)
-            state = module.state_dict()
-            for key, arr in state.items():
-                store.add(f"embedding/module/{key}", arr)
-            embedding_section.update({"spec": spec, "state": sorted(state)})
-        else:
-            table_metas = {}
-            for name, table in tables.items():
-                store.add(f"embedding/{name}.codes", table.codes)
-                store.add(f"embedding/{name}.scales", table.scales)
-                table_metas[name] = {
-                    "bits": table.bits,
-                    "dim": table.dim,
-                    "per_row": table.per_row,
-                    "num_rows": table.num_rows,
-                }
-            embedding_section["tables"] = table_metas
+        # One codes/scales payload pair per form table.
+        meta, tables = quantize_embedding(emb, bits, percentile=percentile).state()
+        table_metas = {}
+        for name, table in tables.items():
+            store.add(f"embedding/{name}.codes", table.codes)
+            store.add(f"embedding/{name}.scales", table.scales)
+            table_metas[name] = {
+                "bits": table.bits,
+                "dim": table.dim,
+                "per_row": table.per_row,
+                "num_rows": table.num_rows,
+            }
+        embedding_section.update(
+            {"kind": "quantized", "quant": meta, "tables": table_metas}
+        )
 
     manifest = {
         "format": FORMAT_MAGIC,

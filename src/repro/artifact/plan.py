@@ -12,13 +12,13 @@ so the freeze is split in two:
   eval-mode model runs (same primitives, same association order), so a
   tower rebuilt from disk is bit-identical to one frozen from the model.
 
-Embeddings whose serving form is the module itself (the FP32 path and the
-quantized module fallback) are persisted as a **rebuild spec** — the
-constructor recipe (class + hyperparameters) — plus the module's state
-dict.  Construction is deterministic given the spec, and every value that
-matters (tables, hash salts, running statistics) comes from the state dict,
-so ``build_embedding_from_spec(spec).load_state_dict(state)`` reproduces
-the module float-for-float.  Sharded layouts rebuild their routing from
+FP32 embeddings are persisted as a **rebuild spec** — the constructor
+recipe (class + hyperparameters) — plus the module's state dict, and the
+serving engine reads the rebuilt module's frozen form.  Construction is
+deterministic given the spec, and every value that matters (tables, hash
+salts, running statistics) comes from the state dict, so
+``build_embedding_from_spec(spec).load_state_dict(state)`` reproduces the
+module float-for-float.  Sharded layouts rebuild their routing from
 ``n_shards`` (it is a pure function of ``(num_rows, n_shards)``, see
 :mod:`repro.nn.sharding`) and are never serialized.
 """

@@ -20,7 +20,12 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.core.registry import available_techniques, technique_spec
+from repro.core.registry import (
+    available_techniques,
+    build_embedding,
+    default_hyper as _default_hyper,
+    technique_spec,
+)
 from repro.data.datasets import DATASETS, get_spec
 from repro.experiments import EXPERIMENTS, ExperimentConfig
 from repro.utils.logging import set_verbose
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument("out", help="artifact path (directory, or *.zip for one file)")
     p_export.add_argument(
-        "--technique", choices=["memcom", "full", "tt_rec", "factorized"], default="memcom",
+        "--technique", choices=available_techniques(), default="memcom",
         help="embedding technique of the exported model",
     )
     p_export.add_argument(
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--num-items", type=int, default=100, help="output catalog/label size")
     p_export.add_argument(
         "--hash-fraction", type=int, default=16,
-        help="MEmCom hash size = vocab / fraction",
+        help="hash/keep size = vocab / fraction (hash-family techniques)",
     )
     p_export.add_argument(
         "--shards", type=int, default=0,
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure batched serving throughput (requests/sec) under Zipf traffic",
     )
     p_serve.add_argument(
-        "--technique", choices=["memcom", "full", "tt_rec", "factorized"], default="memcom",
+        "--technique", choices=available_techniques(), default="memcom",
         help="embedding technique of the served model",
     )
     p_serve.add_argument("--vocab", type=int, default=50_000)
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--num-items", type=int, default=100, help="output catalog size")
     p_serve.add_argument(
         "--hash-fraction", type=int, default=16,
-        help="MEmCom hash size = vocab / fraction",
+        help="hash/keep size = vocab / fraction (hash-family techniques)",
     )
     p_serve.add_argument("--requests", type=int, default=4096)
     p_serve.add_argument("--batch-size", type=int, default=64)
@@ -956,12 +961,9 @@ def _build_export_model(args: argparse.Namespace):
         build_ranknet,
     )
 
-    hyper = {
-        "memcom": {"num_hash_embeddings": max(2, args.vocab // args.hash_fraction)},
-        "tt_rec": {"tt_rank": max(2, args.embedding_dim // 8)},
-        "factorized": {"hidden_dim": max(2, args.embedding_dim // 4)},
-        "full": {},
-    }[args.technique]
+    hyper = _default_hyper(
+        args.technique, args.vocab, args.embedding_dim, args.hash_fraction
+    )
     builder = {
         "pointwise": build_pointwise_ranker,
         "classifier": build_classifier,
@@ -978,6 +980,18 @@ def _build_export_model(args: argparse.Namespace):
         rng=args.seed,
         **hyper,
     )
+
+
+def _pooled_bits_error(args: argparse.Namespace) -> str | None:
+    """``--bits 8|4`` needs per-row storage, which a pooled output lacks."""
+    if args.bits == 32 or getattr(args, "artifact", None) is not None:
+        return None
+    # Pooling is structural, so a tiny instance answers for every size.
+    tiny = build_embedding(args.technique, 8, 2, **_default_hyper(args.technique, 8, 2, 2))
+    if tiny.frozen().pooled:
+        return (f"--technique {args.technique} pools its output per request: "
+                f"no per-row storage to serve at --bits {args.bits} (use --bits 32)")
+    return None
 
 
 def _validate_serve_args(args: argparse.Namespace) -> str | None:
@@ -1090,7 +1104,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.traffic.model import TrafficModel, TrafficSpec
     from repro.traffic.replay import replay
 
-    error = _validate_serve_args(args)
+    error = _validate_serve_args(args) or _pooled_bits_error(args)
     if error is not None:
         print(f"repro serve-bench: error: {error}", file=sys.stderr)
         return 2
@@ -1341,9 +1355,17 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    error = _pooled_bits_error(args)
+    if error is not None:
+        print(f"repro export-artifact: error: {error}", file=sys.stderr)
+        return 2
     model = _build_export_model(args)
     if args.shards:
-        model = shard_model(model, args.shards)
+        try:
+            model = shard_model(model, args.shards)
+        except TypeError as exc:  # no sharded variant of this technique
+            print(f"repro export-artifact: error: {exc}", file=sys.stderr)
+            return 2
     artifact = save_artifact(model, args.out, bits=args.bits, percentile=args.percentile)
     print(artifact.describe())
     # Reopen through the session front door: verifies every payload hash and
@@ -1355,28 +1377,6 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
         f"(+{artifact.total_bytes() - artifact.payload_bytes():,} manifest)"
     )
     return 0
-
-
-def _default_hyper(technique: str, vocab: int, dim: int, hash_fraction: int) -> dict:
-    """A sensible mid-sweep hyperparameter for each technique family."""
-    m = max(2, vocab // hash_fraction)
-    family = {
-        "memcom": {"num_hash_embeddings": m},
-        "memcom_nobias": {"num_hash_embeddings": m},
-        "qr_mult": {"num_hash_embeddings": m},
-        "qr_concat": {"num_hash_embeddings": m},
-        "hash": {"num_hash_embeddings": m},
-        "double_hash": {"num_hash_embeddings": m},
-        "freq_double_hash": {"num_hash_embeddings": m},
-        "hashed_onehot": {"num_hash_embeddings": m},
-        "truncate_rare": {"keep": m},
-        "factorized": {"hidden_dim": max(2, dim // 4)},
-        "reduce_dim": {"reduced_dim": max(2, dim // 4)},
-        "tt_rec": {"tt_rank": max(2, dim // 8)},
-        "mixed_dim": {"num_blocks": 4},
-        "full": {},
-    }
-    return family[technique]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -57,6 +57,15 @@ class CompressedEmbedding(Module):
             )
         return indices
 
+    def frozen(self):  # pragma: no cover - interface
+        """This technique's eval forward as a :class:`~repro.core.frozen.FrozenForm`."""
+        raise NotImplementedError
+
+    def _form(self, tables: dict, root):
+        from repro.core.frozen import FrozenForm
+
+        return FrozenForm(self.technique, self.vocab_size, self.output_dim, tables, root)
+
     def table_parameters(self) -> int:
         """Parameters belonging to the embedding representation itself."""
         return self.num_parameters()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Gather
 from repro.nn import init, ops
 from repro.nn.sharding import ShardedTable
 from repro.nn.tensor import Parameter, Tensor
@@ -36,6 +37,9 @@ class FullEmbedding(CompressedEmbedding):
     def forward(self, indices: np.ndarray) -> Tensor:
         indices = self._check_indices(indices)
         return ops.embedding_lookup(self.table, indices)
+
+    def frozen(self):
+        return self._form({"table": self.table}, Gather("table"))
 
     def to_sharded(self, n_shards: int) -> "ShardedFullEmbedding":
         """Hash-partition the table rows across ``n_shards``."""
@@ -73,11 +77,6 @@ class ShardedFullEmbedding(FullEmbedding):
         out.embedding_dim = embedding.embedding_dim
         out.n_shards = int(n_shards)
         out.table = ShardedTable(embedding.table.data, n_shards, name="table")
-        return out
-
-    def to_monolithic(self) -> FullEmbedding:
-        out = FullEmbedding(self.vocab_size, self.embedding_dim, rng=0)
-        out.table.data = self.table.dense()
         return out
 
     def forward(self, indices: np.ndarray) -> Tensor:

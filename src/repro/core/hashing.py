@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding, universal_hash
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng
@@ -74,6 +75,12 @@ class NaiveHashEmbedding(CompressedEmbedding):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return ops.embedding_lookup(self.table, self.hash_indices(indices))
+
+    def frozen(self):
+        m = self.num_hash_embeddings
+        salt = (int(x) for x in self.hash_salt)
+        index = ("mod", m) if self.hash_family == "mod" else ("hash", m, *salt)
+        return self._form({"table": self.table}, Gather("table", index))
 
 
 class DoubleHashEmbedding(CompressedEmbedding):
@@ -135,6 +142,12 @@ class DoubleHashEmbedding(CompressedEmbedding):
             axis=-1,
         )
 
+    def frozen(self):
+        m = self.num_hash_embeddings
+        a1, b1, a2, b2 = (int(x) for x in self.hash_salt)
+        parts = (Gather("table1", ("hash", m, a1, b1)), Gather("table2", ("hash", m, a2, b2)))
+        return self._form({"table1": self.table1, "table2": self.table2}, Combine("concat", parts))
+
 
 class FrequencyDoubleHashEmbedding(CompressedEmbedding):
     """Frequency-based double hashing (Zhang et al. 2020, RecSys).
@@ -183,3 +196,11 @@ class FrequencyDoubleHashEmbedding(CompressedEmbedding):
         tail = self.tail(indices)
         gate = is_head.astype(np.float32)[..., None]
         return ops.add(ops.mul(head, Tensor(gate)), ops.mul(tail, Tensor(1.0 - gate)))
+
+    def frozen(self):
+        # 1 - gate is exactly the tail's range mask, so the gated sum is a
+        # masked sum over the head range and the tail range.
+        tail = self.tail.frozen()
+        parts = (Gather("head", ("range", 0, self.keep)), tail.root)
+        ranges = ((0, self.keep), (self.keep, self.vocab_size))
+        return self._form({"head": self.head, **tail.tables}, Combine("masked_sum", parts, ranges))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.layers import Dense
 from repro.nn.tensor import Parameter, Tensor
@@ -56,6 +57,10 @@ class FactorizedEmbedding(CompressedEmbedding):
         narrow = ops.embedding_lookup(self.table, indices)
         return self.projection(narrow)
 
+    def frozen(self):
+        tables = {"table": self.table, "projection": self.projection.weight}
+        return self._form(tables, Combine("project", (Gather("table"),), ("projection",)))
+
 
 class ReducedDimEmbedding(CompressedEmbedding):
     """Plain table with a smaller embedding dimension ``d``.
@@ -81,3 +86,6 @@ class ReducedDimEmbedding(CompressedEmbedding):
     def forward(self, indices: np.ndarray) -> Tensor:
         indices = self._check_indices(indices)
         return ops.embedding_lookup(self.table, indices)
+
+    def frozen(self):
+        return self._form({"table": self.table}, Gather("table"))

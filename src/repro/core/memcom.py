@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.sharding import ShardedTable
 from repro.nn.tensor import Parameter, Tensor
@@ -91,6 +92,19 @@ class MEmComEmbedding(CompressedEmbedding):
             # Fused (…, e) * (…, 1) + (…, 1): one graph node on the hot path.
             return ops.muladd(x_rem, x_mult, ops.embedding_lookup(self.bias_table, indices))
         return ops.mul(x_rem, x_mult)  # (…, e) * (…, 1) broadcast
+
+    def frozen(self):
+        # Gather U by id mod m, broadcast-multiply V, then add W: the
+        # order ops.muladd computes in.  Sharded V/W keep their layout.
+        tables = {"shared": self.shared, "multiplier": self.multiplier}
+        shared = Gather("shared", ("mod", self.num_hash_embeddings))
+        mult = Gather("multiplier", label="mult")
+        root = Combine("mul", (shared, mult), label="broadcast_mul")
+        if self.bias_table is not None:
+            tables["bias"] = self.bias_table
+            bias = Gather("bias", label="biasrow")
+            root = Combine("add", (root, bias), label="broadcast_add")
+        return self._form(tables, root)
 
     def multipliers(self) -> np.ndarray:
         """Per-entity multiplier column as a flat (v,) array (for the A.4
@@ -172,22 +186,6 @@ class ShardedMEmComEmbedding(MEmComEmbedding):
             else None
         )
         out.n_shards = int(n_shards)
-        return out
-
-    def to_monolithic(self) -> MEmComEmbedding:
-        """Reassemble a plain MEmCom layer (for export/interop)."""
-        out = MEmComEmbedding(
-            self.vocab_size,
-            self.embedding_dim,
-            self.num_hash_embeddings,
-            bias=self.bias,
-            multiplier_init=self.multiplier_init,
-            rng=0,
-        )
-        out.shared.data = self.shared.data.copy()
-        out.multiplier.data = self.multiplier.dense()
-        if self.bias_table is not None:
-            out.bias_table.data = self.bias_table.dense()
         return out
 
     def forward(self, indices: np.ndarray) -> Tensor:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.layers import Dense
 from repro.nn.tensor import Parameter, Tensor
@@ -133,3 +134,16 @@ class MixedDimEmbedding(CompressedEmbedding):
             gated = ops.mul(emb, Tensor(mask.astype(np.float32)[:, None]))
             out = gated if out is None else ops.add(out, gated)
         return ops.reshape(out, tuple(indices.shape) + (self.output_dim,))
+
+    def frozen(self):
+        tables, parts = {}, []
+        for k, ((start, stop), table, proj) in enumerate(
+            zip(self.blocks, self.tables, self.projections)
+        ):
+            tables[f"block{k}"] = table
+            part = Gather(f"block{k}", ("range", start, stop))
+            if proj is not None:
+                tables[f"proj{k}"] = proj.weight
+                part = Combine("project", (part,), (f"proj{k}",), label=f"proj{k}")
+            parts.append(part)
+        return self._form(tables, Combine("masked_sum", tuple(parts), tuple(self.blocks)))

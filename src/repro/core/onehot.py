@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import CompressedEmbedding, universal_hash
+from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, hashed_bag
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng
@@ -86,20 +87,18 @@ class HashedOneHotEncoder(CompressedEmbedding):
         indices = self._check_indices(indices)
         if indices.ndim != 2:
             raise ValueError(f"expected (batch, length) ids, got shape {indices.shape}")
-        batch, length = indices.shape
-        a, b, sign_a, sign_b = (int(x) for x in self.hash_salt)
-        buckets = universal_hash(indices, self.num_hash_buckets, a, b)
-        if self.signed:
-            signs = (universal_hash(indices, 2, sign_a, sign_b) * 2 - 1).astype(np.float32)
-        else:
-            signs = np.ones(indices.shape, dtype=np.float32)
-        encoded = np.zeros((batch, self.num_hash_buckets), dtype=np.float32)
-        rows = np.repeat(np.arange(batch), length)
-        np.add.at(encoded, (rows, buckets.ravel()), signs.ravel())
-        if self.average:
-            encoded /= length
-        return encoded
+        return hashed_bag(indices, *self._bag_args())
+
+    def _bag_args(self) -> tuple:
+        salt = (int(x) for x in self.hash_salt)
+        return (self.num_hash_buckets, *salt, self.signed, self.average)
 
     def forward(self, indices: np.ndarray) -> Tensor:
         encoded = Tensor(self.encode(indices))
         return ops.matmul(encoded, self.weight)
+
+    def frozen(self):
+        bag = Combine("bag", (), self._bag_args(), label="onehot")
+        return self._form(
+            {"hash_matrix": self.weight}, Combine("project", (bag,), ("hash_matrix",))
+        )

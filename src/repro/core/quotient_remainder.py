@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng
@@ -83,3 +84,10 @@ class QREmbedding(CompressedEmbedding):
         if self.operation == "mult":
             return ops.mul(x_rem, x_quo)
         return ops.concat([x_rem, x_quo], axis=-1)
+
+    def frozen(self):
+        m = self.num_remainder_embeddings
+        parts = (Gather("remainder", ("mod", m)), Gather("quotient", ("div", m)))
+        op = "mul" if self.operation == "mult" else "concat"
+        tables = {"remainder": self.remainder, "quotient": self.quotient}
+        return self._form(tables, Combine(op, parts))

@@ -27,7 +27,10 @@ from repro.core.quotient_remainder import QREmbedding
 from repro.core.truncate import TruncateRareEmbedding
 from repro.core.tt_rec import TTRecEmbedding
 
-__all__ = ["TechniqueSpec", "available_techniques", "build_embedding", "technique_spec"]
+__all__ = [
+    "TechniqueSpec", "available_techniques", "build_embedding", "default_hyper",
+    "technique_spec",
+]
 
 
 @dataclass(frozen=True)
@@ -253,3 +256,26 @@ def build_embedding(
     if unknown:
         raise TypeError(f"technique {technique!r} got unknown hyperparameters {sorted(unknown)}")
     return spec.builder(vocab_size, embedding_dim, rng, **hyper)
+
+
+def default_hyper(technique: str, vocab: int, dim: int, hash_fraction: int) -> dict:
+    """A sensible mid-sweep hyperparameter for each technique family — the
+    one table the CLI and the traffic benchmark build their models from."""
+    m = max(2, vocab // hash_fraction)
+    family = {
+        "memcom": {"num_hash_embeddings": m},
+        "memcom_nobias": {"num_hash_embeddings": m},
+        "qr_mult": {"num_hash_embeddings": m},
+        "qr_concat": {"num_hash_embeddings": m},
+        "hash": {"num_hash_embeddings": m},
+        "double_hash": {"num_hash_embeddings": m},
+        "freq_double_hash": {"num_hash_embeddings": m},
+        "hashed_onehot": {"num_hash_embeddings": m},
+        "truncate_rare": {"keep": m},
+        "factorized": {"hidden_dim": max(2, dim // 4)},
+        "reduce_dim": {"reduced_dim": max(2, dim // 4)},
+        "tt_rec": {"tt_rank": max(2, dim // 8)},
+        "mixed_dim": {"num_blocks": 4},
+        "full": {},
+    }
+    return family[technique]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Gather
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng
@@ -53,3 +54,6 @@ class TruncateRareEmbedding(CompressedEmbedding):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return ops.embedding_lookup(self.table, self.truncated_indices(indices))
+
+    def frozen(self):
+        return self._form({"table": self.table}, Gather("table", ("clip", self.keep)))

@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.core.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng
@@ -137,6 +138,16 @@ class TTRecEmbedding(CompressedEmbedding):
         left = ops.reshape(ops.bmm(g1, g2), (n, e1 * e2, r))  # (n, e1, e2·r) → fold e2
         out = ops.bmm(left, g3)  # (n, e1·e2, e3)
         return ops.reshape(out, tuple(indices.shape) + (self.output_dim,))
+
+    def frozen(self):
+        _, v2, v3 = self.vocab_shape
+        digits = (
+            Gather("core1", ("div", v2 * v3)),
+            Gather("core2", ("digit", v3, v2)),
+            Gather("core3", ("mod", v3)),
+        )
+        tables = {"core1": self.core1, "core2": self.core2, "core3": self.core3}
+        return self._form(tables, Combine("tt", digits, (*self.dim_shape, self.tt_rank)))
 
     def core_parameters(self) -> tuple[int, int, int]:
         """Per-core parameter counts (for sizing tests and reports)."""

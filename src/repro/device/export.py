@@ -12,8 +12,10 @@ they touch and *how*:
   (dirty) memory per the profile's residency factors (§3's "matrix
   approach" is charged this way, which is the whole Table 3 story).
 
-``export_model`` understands the three paper architectures and every
-embedding technique in :mod:`repro.core`.
+``export_model`` understands the three paper architectures; the embedding
+stage is priced from the technique's frozen form (:mod:`repro.core.frozen`)
+by one tree walk — a gather op per table, an op per combine — so every
+technique with a ``frozen()`` exports with no per-technique code here.
 """
 
 from __future__ import annotations
@@ -22,20 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.base import CompressedEmbedding
-from repro.core.full import FullEmbedding, ShardedFullEmbedding
-from repro.core.hashing import (
-    DoubleHashEmbedding,
-    FrequencyDoubleHashEmbedding,
-    NaiveHashEmbedding,
-)
-from repro.core.low_rank import FactorizedEmbedding, ReducedDimEmbedding
-from repro.core.memcom import MEmComEmbedding, ShardedMEmComEmbedding
-from repro.core.mixed_dim import MixedDimEmbedding
-from repro.core.onehot import HashedOneHotEncoder
-from repro.core.quotient_remainder import QREmbedding
-from repro.core.truncate import TruncateRareEmbedding
-from repro.core.tt_rec import TTRecEmbedding
+from repro.core.frozen import Gather
 from repro.models.classifier import EmbeddingClassifier
 from repro.models.pointwise import PointwiseRanker
 from repro.models.ranknet import RankNet
@@ -199,175 +188,75 @@ class ExportedModel:
         return out
 
 
-# -- embedding exporters -----------------------------------------------------------
+# -- embedding exporter -------------------------------------------------------------
 
 
-def _export_embedding(
-    em: ExportedModel, emb: CompressedEmbedding, b: int, length: int
-) -> int:
-    """Emit the embedding stage's weights+ops; returns the output width."""
-    if isinstance(emb, (ShardedMEmComEmbedding, ShardedFullEmbedding)):
-        # Sharding is a host-side training/serving layout; a single device
-        # ships the reassembled tables, so export the monolithic form.
-        emb = emb.to_monolithic()
-    e = emb.output_dim
-    act = b * length * e * _F32
+def _export_embedding(em: ExportedModel, emb, b: int, length: int) -> tuple[int, bool]:
+    """Emit the embedding stage from its frozen form; ``(width, pooled)``.
 
-    if isinstance(emb, (FullEmbedding, ReducedDimEmbedding)):
-        table = emb.table.data.shape
-        w = em.add_weight("embedding.table", table, "lookup")
-        em.ops.append(
-            Op("gather", "embedding", 0, act, (w,), touched_bytes=b * length * table[1] * _F32)
-        )
-    elif isinstance(emb, TruncateRareEmbedding):
-        table = emb.table.data.shape
-        w = em.add_weight("embedding.table", table, "lookup")
-        em.ops.append(
-            Op("gather", "embedding", 0, act, (w,), touched_bytes=b * length * table[1] * _F32)
-        )
-    elif isinstance(emb, NaiveHashEmbedding):
-        w = em.add_weight("embedding.table", emb.table.data.shape, "lookup")
-        em.ops.append(
-            Op("gather", "embedding", 0, act, (w,), touched_bytes=b * length * e * _F32)
-        )
-    elif isinstance(emb, DoubleHashEmbedding):
-        w1 = em.add_weight("embedding.table1", emb.table1.data.shape, "lookup")
-        w2 = em.add_weight("embedding.table2", emb.table2.data.shape, "lookup")
-        half_act = act // 2
-        touched = b * length * (e // 2) * _F32
-        em.ops.append(Op("gather", "embedding.h1", 0, half_act, (w1,), touched_bytes=touched))
-        em.ops.append(Op("gather", "embedding.h2", 0, half_act, (w2,), touched_bytes=touched))
-        em.ops.append(Op("concat", "embedding.concat", 0, act))
-    elif isinstance(emb, QREmbedding):
-        wr = em.add_weight("embedding.remainder", emb.remainder.data.shape, "lookup")
-        wq = em.add_weight("embedding.quotient", emb.quotient.data.shape, "lookup")
-        d = emb.remainder.data.shape[1]
-        touched = b * length * d * _F32
-        part = b * length * d * _F32
-        em.ops.append(Op("gather", "embedding.rem", 0, part, (wr,), touched_bytes=touched))
-        em.ops.append(Op("gather", "embedding.quo", 0, part, (wq,), touched_bytes=touched))
-        if emb.operation == "mult":
-            em.ops.append(Op("mul", "embedding.compose", b * length * e, act))
-        else:
-            em.ops.append(Op("concat", "embedding.compose", 0, act))
-    elif isinstance(emb, MEmComEmbedding):
-        wu = em.add_weight("embedding.shared", emb.shared.data.shape, "lookup")
-        wv = em.add_weight("embedding.multiplier", emb.multiplier.data.shape, "lookup")
-        em.ops.append(
-            Op("gather", "embedding.shared", 0, act, (wu,), touched_bytes=b * length * e * _F32)
-        )
-        em.ops.append(
-            Op(
-                "gather",
-                "embedding.mult",
-                0,
-                b * length * _F32,
-                (wv,),
-                touched_bytes=b * length * _F32,
-            )
-        )
-        em.ops.append(Op("mul", "embedding.broadcast_mul", b * length * e, act))
-        if emb.bias_table is not None:
-            wb = em.add_weight("embedding.bias", emb.bias_table.data.shape, "lookup")
-            em.ops.append(
-                Op(
-                    "gather",
-                    "embedding.biasrow",
-                    0,
-                    b * length * _F32,
-                    (wb,),
-                    touched_bytes=b * length * _F32,
-                )
-            )
-            em.ops.append(Op("add", "embedding.broadcast_add", b * length * e, act))
-    elif isinstance(emb, FactorizedEmbedding):
-        h = emb.hidden_dim
-        wt = em.add_weight("embedding.table", emb.table.data.shape, "lookup")
-        wp = em.add_weight("embedding.projection", emb.projection.weight.data.shape, "dense")
-        em.ops.append(
-            Op(
-                "gather",
-                "embedding.narrow",
-                0,
-                b * length * h * _F32,
-                (wt,),
-                touched_bytes=b * length * h * _F32,
-            )
-        )
-        em.ops.append(Op("matmul", "embedding.project", 2 * b * length * h * e, act, (wp,)))
-    elif isinstance(emb, FrequencyDoubleHashEmbedding):
-        # Both paths run batch-wide and are mask-combined, exactly as the
-        # layer computes: one head gather + the double-hashed tail + gating.
-        wh = em.add_weight("embedding.head", emb.head.data.shape, "lookup")
-        w1 = em.add_weight("embedding.tail1", emb.tail.table1.data.shape, "lookup")
-        w2 = em.add_weight("embedding.tail2", emb.tail.table2.data.shape, "lookup")
-        touched_half = b * length * (e // 2) * _F32
-        em.ops.append(Op("gather", "embedding.head", 0, act, (wh,), touched_bytes=b * length * e * _F32))
-        em.ops.append(Op("gather", "embedding.t1", 0, act // 2, (w1,), touched_bytes=touched_half))
-        em.ops.append(Op("gather", "embedding.t2", 0, act // 2, (w2,), touched_bytes=touched_half))
-        em.ops.append(Op("concat", "embedding.tail_concat", 0, act))
-        em.ops.append(Op("mul", "embedding.gate", 2 * b * length * e, act))
-        em.ops.append(Op("add", "embedding.combine", b * length * e, act))
-    elif isinstance(emb, TTRecEmbedding):
-        e1, e2, e3 = emb.dim_shape
-        r = emb.tt_rank
-        n = b * length
-        w1 = em.add_weight("embedding.core1", emb.core1.data.shape, "lookup")
-        w2 = em.add_weight("embedding.core2", emb.core2.data.shape, "lookup")
-        w3 = em.add_weight("embedding.core3", emb.core3.data.shape, "lookup")
-        for wname, wid, width in (("g1", w1, e1 * r), ("g2", w2, r * e2 * r), ("g3", w3, r * e3)):
-            em.ops.append(
-                Op(
-                    "gather",
-                    f"embedding.{wname}",
-                    0,
-                    n * width * _F32,
-                    (wid,),
-                    touched_bytes=n * width * _F32,
-                )
-            )
-        em.ops.append(Op("matmul", "embedding.contract1", 2 * n * e1 * r * e2 * r, n * e1 * e2 * r * _F32))
-        em.ops.append(Op("matmul", "embedding.contract2", 2 * n * e1 * e2 * r * e3, act))
-    elif isinstance(emb, MixedDimEmbedding):
-        # Exported as computed: every block is gathered, projected and
-        # mask-combined batch-wide (an index-partitioning runtime could do
-        # better; we charge what the reference layer does).
-        for k, ((table, proj), d) in enumerate(
-            zip(zip(emb.tables, emb.projections), emb.block_widths)
-        ):
-            wt = em.add_weight(f"embedding.block{k}", table.data.shape, "lookup")
-            em.ops.append(
-                Op(
-                    "gather",
-                    f"embedding.block{k}",
-                    0,
-                    b * length * d * _F32,
-                    (wt,),
-                    touched_bytes=b * length * d * _F32,
-                )
-            )
-            if proj is not None:
-                wp = em.add_weight(f"embedding.proj{k}", proj.weight.data.shape, "dense")
-                em.ops.append(
-                    Op("matmul", f"embedding.proj{k}", 2 * b * length * d * e, act, (wp,))
-                )
-            em.ops.append(Op("mul", f"embedding.gate{k}", b * length * e, act))
+    One walk, children first: a gather op per table read, an op per
+    combine, priced as the layer computes (every part batch-wide).  Sharded
+    tables export their logical shape — a single device ships the
+    reassembled table.  The hashed one-hot bag is the "matrix approach": it
+    materializes the ``(B, m)`` encoding in anonymous memory, then a full
+    dense matmul — an O(L·m) scan that makes the Weinberger model's latency
+    dataset-independent in Table 3.
+    """
+    form = emb.frozen()
+    n = b * length
+
+    def emit(node) -> tuple[int, int]:
+        """Weights + ops of one node; the ``(rows, width)`` it outputs."""
+        if isinstance(node, Gather):
+            shape = tuple(form.tables[node.table].shape)
+            w = em.add_weight(f"embedding.{node.table}", shape, "lookup")
+            nbytes = n * shape[1] * _F32
+            name = f"embedding.{node.label or node.table}"
+            em.ops.append(Op("gather", name, 0, nbytes, (w,), touched_bytes=nbytes))
+            return n, shape[1]
+        op, parts, args = node.op, node.parts, node.args
+        name = f"embedding.{node.label or op}"
+        if op == "bag":
+            em.ops.append(Op("one_hot", name, n * args[0], b * args[0] * _F32))
+            return b, args[0]
+        if op == "project":
+            rows, width = emit(parts[0])
+            shape = tuple(form.tables[args[0]].shape)
+            # A one-hot-fed operand is transformed into framework-owned
+            # anonymous buffers (the Table 3 memory mechanism).
+            storage = "onehot_dense" if form.pooled else "dense"
+            w = em.add_weight(f"embedding.{args[0]}", shape, storage)
+            flops = 2 * rows * width * shape[1]
+            em.ops.append(Op("matmul", name, flops, rows * shape[1] * _F32, (w,)))
+            return rows, shape[1]
+        if op in ("mul", "add"):
+            rows, width = emit(parts[0])
+            for part in parts[1:]:
+                emit(part)
+                em.ops.append(Op(op, name, rows * width, rows * width * _F32))
+            return rows, width
+        if op == "concat":
+            width = sum(emit(part)[1] for part in parts)
+            em.ops.append(Op("concat", name, 0, n * width * _F32))
+            return n, width
+        if op == "tt":
+            e1, e2, e3, r = args
+            for part in parts:
+                emit(part)
+            mid = e1 * e2 * r
+            em.ops.append(Op("matmul", f"{name}1", 2 * n * e1 * r * e2 * r, n * mid * _F32))
+            em.ops.append(Op("matmul", f"{name}2", 2 * n * mid * e3, n * e1 * e2 * e3 * _F32))
+            return n, e1 * e2 * e3
+        # the remaining combine, masked_sum: each part is gated by its range
+        # mask, then accumulated
+        for k, part in enumerate(parts):
+            rows, width = emit(part)
+            em.ops.append(Op("mul", f"{name}.gate{k}", rows * width, rows * width * _F32))
             if k:
-                em.ops.append(Op("add", f"embedding.acc{k}", b * length * e, act))
-    elif isinstance(emb, HashedOneHotEncoder):
-        # The "matrix approach": materialize the (B, m) hashed one-hot
-        # encoding in anonymous memory, then a full dense matmul.  The
-        # encoding scan costs O(L·m) interpreter work (each feature is
-        # scattered across the m-wide buffer) — this is what makes the
-        # Weinberger model's latency dataset-independent in Table 3.
-        m = emb.num_hash_buckets
-        w = em.add_weight("embedding.hash_matrix", (m, e), "onehot_dense")
-        em.ops.append(Op("one_hot", "embedding.onehot", b * length * m, b * m * _F32))
-        em.ops.append(Op("matmul", "embedding.project", 2 * b * m * e, b * e * _F32, (w,)))
-        return e  # already pooled: (B, e)
-    else:  # pragma: no cover - future techniques must add an exporter
-        raise TypeError(f"no exporter for embedding type {type(emb).__name__}")
-    return e
+                em.ops.append(Op("add", f"{name}.acc{k}", rows * width, rows * width * _F32))
+        return rows, width
+
+    return emit(form.root)[1], form.pooled
 
 
 def _export_tower(em: ExportedModel, b: int, length: int, e: int, pooled: bool) -> None:
@@ -398,13 +287,15 @@ def export_model(model, batch_size: int = 1, name: str | None = None) -> Exporte
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     b = batch_size
+    kinds = {EmbeddingClassifier: "classifier", PointwiseRanker: "pointwise", RankNet: "ranknet"}
+    kind = next((k for cls, k in kinds.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"no exporter for model type {type(model).__name__}")
+    em = ExportedModel(name or kind, b)
+    e, pooled = _export_embedding(em, model.embedding, b, model.input_length)
+    _export_tower(em, b, model.input_length, e, pooled)
 
-    if isinstance(model, EmbeddingClassifier):
-        em = ExportedModel(name or "classifier", b)
-        length = model.input_length
-        e = _export_embedding(em, model.embedding, b, length)
-        pooled = isinstance(model.embedding, HashedOneHotEncoder)
-        _export_tower(em, b, length, e, pooled)
+    if kind == "classifier":
         hidden = model.hidden.units
         _export_dense(em, "hidden", b, e, hidden)
         em.ops.append(Op("relu", "hidden.relu", b * hidden, b * hidden * _F32))
@@ -413,28 +304,11 @@ def export_model(model, batch_size: int = 1, name: str | None = None) -> Exporte
         c = model.num_labels
         _export_dense(em, "output", b, hidden, c)
         em.ops.append(Op("softmax", "softmax", 5 * b * c, b * c * _F32))
-        return em
-
-    if isinstance(model, PointwiseRanker):
-        em = ExportedModel(name or "pointwise", b)
-        length = model.input_length
-        e = _export_embedding(em, model.embedding, b, length)
-        pooled = isinstance(model.embedding, HashedOneHotEncoder)
-        _export_tower(em, b, length, e, pooled)
+    elif kind == "pointwise":
         c = model.num_items
         _export_dense(em, "output", b, e, c)
         em.ops.append(Op("softmax", "softmax", 5 * b * c, b * c * _F32))
-        return em
-
-    if isinstance(model, RankNet):
-        em = ExportedModel(name or "ranknet", b)
-        length = model.input_length
-        e = _export_embedding(em, model.embedding, b, length)
-        pooled = isinstance(model.embedding, HashedOneHotEncoder)
-        _export_tower(em, b, length, e, pooled)
-        c = model.num_items
+    else:
         # Catalog scoring matmul + per-item bias.
-        _export_dense(em, "item_scores", b, e, c)
-        return em
-
-    raise TypeError(f"no exporter for model type {type(model).__name__}")
+        _export_dense(em, "item_scores", b, e, model.num_items)
+    return em

@@ -50,3 +50,12 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return ops.embedding_lookup(self.weight, indices)
+
+    def frozen(self):
+        """The serving form: one gather (see :mod:`repro.core.frozen`)."""
+        from repro.core.frozen import FrozenForm, Gather  # repro.core sits above nn
+
+        return FrozenForm(
+            type(self).__name__, self.num_embeddings, self.output_dim,
+            {"table": self.weight}, Gather("table"),
+        )

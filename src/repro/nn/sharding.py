@@ -118,14 +118,15 @@ class ShardedTable(Module):
 
     # -- routed access ---------------------------------------------------------
 
-    def take_rows(self, rows: np.ndarray) -> np.ndarray:
+    def take_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward-only routed gather of logical rows (no autograd graph).
 
         The serving engine's path: returns exactly the bytes the monolithic
-        table would, assembled from per-shard gathers.
+        table would, assembled from per-shard gathers (into ``out`` if given).
         """
         rows = np.asarray(rows).ravel()
-        out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
+        if out is None:
+            out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
         sid = self._shard_of[rows]
         loc = self._local_of[rows]
         for s, p in enumerate(self.shards):
@@ -241,3 +242,12 @@ class ShardedEmbedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return self.table.lookup(indices)
+
+    def frozen(self):
+        """The serving form: one routed gather (see :mod:`repro.core.frozen`)."""
+        from repro.core.frozen import FrozenForm, Gather  # repro.core sits above nn
+
+        return FrozenForm(
+            type(self).__name__, self.num_embeddings, self.output_dim,
+            {"table": self.table}, Gather("table"),
+        )

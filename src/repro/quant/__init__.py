@@ -7,9 +7,10 @@ weights at 8/4 bits.  :mod:`repro.device.quantize` *simulates* that
 * :class:`QuantizedTable` — int8 codes with per-row FP32 scales, or int4
   packed two-codes-per-byte with unpack-on-gather;
 * :func:`quantize_embedding` — calibration (per-row absmax, optional
-  percentile clipping) converting any trained ``CompressedEmbedding`` —
-  including sharded and MEmCom/TT-Rec composed forms — into
-  :class:`QuantizedEmbedding` storage;
+  percentile clipping) converting any per-id ``CompressedEmbedding`` —
+  sharded and composed ones included — into :class:`QuantizedEmbedding`
+  storage: one path for every technique, which stores each table of the
+  technique's frozen form (:mod:`repro.core.frozen`) as codes + scales;
 * fused gather→dequantize kernels (:mod:`repro.quant.kernels`) whose
   outputs are bit-identical between the single-row and batched paths.
 

@@ -1,38 +1,26 @@
 """Calibrate a trained ``CompressedEmbedding`` into integer storage.
 
-``quantize_embedding`` converts any technique into a :class:`QuantizedEmbedding`
-— the serving-side object whose row values are *exactly representable* as
-``(codes, scale)`` pairs.  Three real-storage modes cover the paper's
-techniques:
+``quantize_embedding`` converts any per-id technique into a
+:class:`QuantizedEmbedding`, whose row values are *exactly representable*
+as ``(codes, scale)`` pairs.  One path serves every technique: it stores
+each table of the technique's frozen form (:mod:`repro.core.frozen`) as a
+:class:`QuantizedTable` — per-row scales for multi-column tables, one
+per-tensor scale for a single column (MEmCom's ``(v, 1)`` multiplier and
+bias, where a 4-byte per-row scale would outweigh the 1-byte payload) — so
+resident bytes are codes plus scales for every technique.  Serving
+evaluates the same form over dequantized gathers:
 
-* **table** — the technique's forward is a (possibly id-remapped) gather
-  from one ``(rows, e)`` table (full, reduce_dim, truncate_rare, sharded
-  full, plain ``nn.Embedding``).  The table itself is stored as a
-  :class:`QuantizedTable`; serving is the fused gather→dequantize kernel and
-  the cache stores the *stored* codes — one rounding, end to end.
-* **memcom** — MEmCom's three tables are stored quantized (per-row scales
-  for the shared ``(m, e)`` table; per-tensor scales for the ``(v, 1)``
-  columns, where a 4-byte per-row scale would outweigh the 1-byte payload).
-  A served row is composed from dequantized components and then
-  *row-quantized* — the composed row is what the cache stores as codes, so
-  the hit and miss paths decode the same ``(codes, scale)``.
-* **tt_rec** — the three TT cores are stored quantized per-row; rows are
-  contracted from dequantized core slices (mirroring the layer's bmm
-  association order) and row-quantized like memcom.
+* a form that is **one gather** (full, reduce_dim, truncate_rare, hash,
+  plain and sharded ``nn.Embedding``) hands back the *stored* codes of the
+  gathered rows — one rounding, end to end;
+* a **composed** form composes FP32 rows from the dequantized tables, op
+  for op as the module's forward, and *row-quantizes* them, so the cache
+  of codes stores the composed row and hits and misses decode the same
+  ``(codes, scale)``.
 
-Sharded variants quantize to the same codes as their monolithic forms by
-construction (the shard layout is reassembled row-exact before
-calibration), so *quantize → shard* and *quantize → monolithic* serve
-bit-identical values.
-
-Every other per-id technique (hash families, QR, mixed-dim, factorized)
-falls back to **module** mode: a deep-copied module whose parameters are
-round-tripped through the quantization grid composes rows in FP32, and the
-composed rows are row-quantized.  The fallback's *values* follow the same
-rounding contract, but its working copy stays FP32-resident —
-``storage_bytes()`` reports that honestly (``packed_bytes()`` gives the
-shippable size).  The pooled one-hot encoder is not per-row and cannot be
-served quantized.
+Sharded variants reassemble row-exact before calibration, so they quantize
+to the codes of their monolithic forms.  The pooled one-hot encoder has no
+per-row output and cannot be served quantized.
 
 ``QuantizedEmbedding.dequantized()`` materializes the exact served rows
 into a plain FP32 :class:`~repro.core.full.FullEmbedding` — the reference a
@@ -41,47 +29,20 @@ quantized engine must match bit-for-bit (same rounding path, FP32 tower).
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
-from repro.core.full import FullEmbedding, ShardedFullEmbedding
-from repro.core.low_rank import ReducedDimEmbedding
-from repro.core.memcom import MEmComEmbedding, ShardedMEmComEmbedding
-from repro.core.onehot import HashedOneHotEncoder
-from repro.core.truncate import TruncateRareEmbedding
-from repro.core.tt_rec import TTRecEmbedding
-from repro.nn.embedding import Embedding
-from repro.nn.sharding import ShardedEmbedding, ShardedTable
-from repro.nn.tensor import no_grad
-from repro.quant.kernels import codes_bytes_per_row, decode_rows, encode_rows
+from repro.core.frozen import FrozenForm, Gather, compose, index_rows
+from repro.core.full import FullEmbedding
+from repro.nn.sharding import ShardedTable
+from repro.quant.kernels import decode_rows, encode_rows
 from repro.quant.table import SUPPORTED_STORAGE_BITS, QuantizedTable
 
 __all__ = ["QuantizedEmbedding", "quantize_embedding"]
 
 _CHUNK = 4096  # row-materialization granularity for dequantized()
-
-
-def _dense_of(table) -> np.ndarray:
-    """Monolithic FP32 values of a Parameter or ShardedTable (row-exact)."""
-    if isinstance(table, ShardedTable):
-        return table.dense()
-    return table.data
-
-
-def _simulate_param(w: np.ndarray, bits: int, percentile: float | None) -> np.ndarray:
-    """Round-trip one parameter through the storage grid (module fallback).
-
-    Multi-column 2-D tables get per-row scales; single columns and 1-D
-    vectors share one scale — the same layout rule the real storage uses.
-    """
-    if w.ndim == 2 and w.shape[1] > 1:
-        codes, scales = encode_rows(w, bits, percentile=percentile)
-        return decode_rows(codes, scales, bits, w.shape[1])
-    flat = w.reshape(1, -1)
-    q = QuantizedTable.from_dense(flat, bits, percentile=percentile, per_row=False)
-    return q.dense().reshape(w.shape)
 
 
 class QuantizedEmbedding:
@@ -90,99 +51,34 @@ class QuantizedEmbedding:
     Not a :class:`~repro.nn.layers.Module` — there is no autograd graph and
     nothing trains; this is a frozen deployment artifact the
     :class:`~repro.serve.engine.InferenceEngine` (and the export path)
-    consume.
+    consume.  ``form`` is the technique's frozen form over
+    :class:`QuantizedTable` storage.
     """
 
     def __init__(
-        self,
-        source: CompressedEmbedding,
-        bits: int,
-        percentile: float | None = None,
+        self, form: FrozenForm, bits: int, percentile: float | None = None
     ) -> None:
         if bits not in SUPPORTED_STORAGE_BITS:
             raise ValueError(
                 f"serving storage bits must be one of {SUPPORTED_STORAGE_BITS}, "
                 f"got {bits}"
             )
-        if isinstance(source, HashedOneHotEncoder):
-            raise TypeError(
-                "HashedOneHotEncoder output is pooled, not per-row; it has no "
-                "quantized row storage (serve it FP32)"
-            )
+        self.form = form
         self.bits = int(bits)
         self.percentile = percentile
-        self.technique = getattr(source, "technique", type(source).__name__)
-        self.vocab_size = int(
-            getattr(source, "vocab_size", None) or source.num_embeddings
-        )
-        self.output_dim = int(source.output_dim)
-        self._remap = None
-        self._remap_keep: int | None = None
-        self._module = None
-
-        if isinstance(source, (MEmComEmbedding, ShardedMEmComEmbedding)):
-            self.mode = "memcom"
-            self._num_hash = source.num_hash_embeddings
-            self._q_shared = QuantizedTable.from_dense(
-                source.shared.data, bits, percentile=percentile
-            )
-            self._q_mult = QuantizedTable.from_dense(
-                _dense_of(source.multiplier), bits, percentile=percentile,
-                per_row=False,
-            )
-            self._q_bias = (
-                QuantizedTable.from_dense(
-                    _dense_of(source.bias_table), bits, percentile=percentile,
-                    per_row=False,
-                )
-                if source.bias_table is not None
-                else None
-            )
-        elif isinstance(
-            source,
-            (FullEmbedding, ReducedDimEmbedding, TruncateRareEmbedding),
-        ) or isinstance(source, (Embedding, ShardedEmbedding)):
-            self.mode = "table"
-            if isinstance(source, TruncateRareEmbedding):
-                keep = source.keep
-                self._remap = lambda ids: np.where(ids <= keep, ids, keep + 1)
-                self._remap_keep = int(keep)
-            table = (
-                _dense_of(source.table)
-                if hasattr(source, "table")
-                else source.weight.data
-            )
-            self._q_table = QuantizedTable.from_dense(
-                table, bits, percentile=percentile
-            )
-        elif isinstance(source, TTRecEmbedding):
-            self.mode = "tt_rec"
-            self._vocab_shape = source.vocab_shape
-            self._dim_shape = source.dim_shape
-            self._tt_rank = source.tt_rank
-            self._q_cores = tuple(
-                QuantizedTable.from_dense(c.data, bits, percentile=percentile)
-                for c in (source.core1, source.core2, source.core3)
-            )
-        else:
-            self.mode = "module"
-            frozen = copy.deepcopy(source)
-            frozen.eval()
-            for p in frozen.parameters():
-                p.data = _simulate_param(p.data, bits, percentile)
-            self._module = frozen
+        self.technique = form.technique
+        self.vocab_size = form.vocab_size
+        self.output_dim = form.output_dim
 
     # -- persistence ------------------------------------------------------------
 
-    def state(self) -> tuple[dict, dict[str, QuantizedTable], object]:
-        """``(meta, tables, module)`` — the persistable decomposition.
+    def state(self) -> tuple[dict, dict[str, QuantizedTable]]:
+        """``(meta, tables)`` — the persistable decomposition.
 
-        ``meta`` is JSON-serializable; ``tables`` holds the integer-storage
-        payloads by stable name; ``module`` is the FP32 working copy (only
-        non-None in ``module`` mode, where the caller persists its rebuild
-        spec + state dict).  :meth:`from_state` inverts this exactly, so a
-        round-tripped embedding serves bit-identical rows — no
-        recalibration happens on load.
+        ``meta`` is JSON-serializable (the form's tree included); ``tables``
+        holds the integer-storage payloads by form table name.
+        :meth:`from_state` inverts this exactly, so a round-tripped
+        embedding serves bit-identical rows — no recalibration on load.
         """
         meta = {
             "bits": self.bits,
@@ -190,121 +86,46 @@ class QuantizedEmbedding:
             "technique": self.technique,
             "vocab_size": self.vocab_size,
             "output_dim": self.output_dim,
-            "mode": self.mode,
+            "form": self.form.spec(),
         }
-        tables: dict[str, QuantizedTable] = {}
-        if self.mode == "table":
-            meta["remap_keep"] = self._remap_keep
-            tables["table"] = self._q_table
-        elif self.mode == "memcom":
-            meta["num_hash"] = self._num_hash
-            tables["shared"] = self._q_shared
-            tables["multiplier"] = self._q_mult
-            if self._q_bias is not None:
-                tables["bias"] = self._q_bias
-        elif self.mode == "tt_rec":
-            meta["vocab_shape"] = list(self._vocab_shape)
-            meta["dim_shape"] = list(self._dim_shape)
-            meta["tt_rank"] = self._tt_rank
-            for i, core in enumerate(self._q_cores, start=1):
-                tables[f"core{i}"] = core
-        return meta, tables, self._module
+        return meta, dict(self.form.tables)
 
     @classmethod
     def from_state(
-        cls,
-        meta: dict,
-        tables: dict[str, QuantizedTable] | None = None,
-        module=None,
+        cls, meta: dict, tables: dict[str, QuantizedTable]
     ) -> "QuantizedEmbedding":
         """Reconstitute a serving embedding from :meth:`state` output.
 
-        The inverse of calibration-then-:meth:`state`: integer payloads are
-        adopted as-is (single rounding, done at save time), so a loaded
-        artifact's rows match the freshly calibrated embedding bit for bit.
+        Integer payloads are adopted as-is (single rounding, done at save
+        time), so a loaded artifact's rows match the freshly calibrated
+        embedding bit for bit.
         """
-        bits = int(meta["bits"])
-        if bits not in SUPPORTED_STORAGE_BITS:
-            raise ValueError(
-                f"serving storage bits must be one of {SUPPORTED_STORAGE_BITS}, "
-                f"got {bits}"
-            )
-        tables = tables or {}
-        self = object.__new__(cls)
-        self.bits = bits
-        self.percentile = meta.get("percentile")
-        self.technique = meta["technique"]
-        self.vocab_size = int(meta["vocab_size"])
-        self.output_dim = int(meta["output_dim"])
-        self.mode = meta["mode"]
-        self._remap = None
-        self._remap_keep = None
-        self._module = None
-        if self.mode == "table":
-            keep = meta.get("remap_keep")
-            if keep is not None:
-                keep = int(keep)
-                self._remap = lambda ids: np.where(ids <= keep, ids, keep + 1)
-                self._remap_keep = keep
-            self._q_table = tables["table"]
-        elif self.mode == "memcom":
-            self._num_hash = int(meta["num_hash"])
-            self._q_shared = tables["shared"]
-            self._q_mult = tables["multiplier"]
-            self._q_bias = tables.get("bias")
-        elif self.mode == "tt_rec":
-            self._vocab_shape = tuple(int(v) for v in meta["vocab_shape"])
-            self._dim_shape = tuple(int(d) for d in meta["dim_shape"])
-            self._tt_rank = int(meta["tt_rank"])
-            self._q_cores = tuple(tables[f"core{i}"] for i in (1, 2, 3))
-        elif self.mode == "module":
-            if module is None:
-                raise ValueError("module-mode state needs the rebuilt module")
-            module.eval()
-            self._module = module
-        else:
-            raise ValueError(f"unknown quantized mode {self.mode!r}")
-        return self
+        form = FrozenForm.from_spec(
+            meta["form"], tables, technique=meta["technique"],
+            vocab_size=meta["vocab_size"], output_dim=meta["output_dim"],
+        )
+        return cls(form, int(meta["bits"]), meta.get("percentile"))
 
     # -- row composition --------------------------------------------------------
 
-    def _compose_fp32(self, flat: np.ndarray) -> np.ndarray:
-        """FP32 rows composed from dequantized components (pre row-quant)."""
-        if self.mode == "memcom":
-            out = self._q_shared.gather(flat % self._num_hash)
-            np.multiply(out, self._q_mult.gather(flat), out=out)
-            if self._q_bias is not None:
-                np.add(out, self._q_bias.gather(flat), out=out)
-            return out
-        if self.mode == "tt_rec":
-            _, v2, v3 = self._vocab_shape
-            e1, e2, e3 = self._dim_shape
-            r = self._tt_rank
-            n = flat.size
-            q1, q2, q3 = self._q_cores
-            g1 = q1.gather(flat // (v2 * v3)).reshape(n, e1, r)
-            g2 = q2.gather((flat // v3) % v2).reshape(n, r, e2 * r)
-            g3 = q3.gather(flat % v3).reshape(n, r, e3)
-            left = np.matmul(g1, g2).reshape(n, e1 * e2, r)
-            return np.matmul(left, g3).reshape(n, self.output_dim)
-        # module fallback
-        with no_grad():
-            return self._module(flat).numpy().reshape(flat.size, self.output_dim)
+    def _gather(self, name: str, rows, out=None) -> np.ndarray:
+        table = self.form.tables[name]
+        return table.dense() if rows is None else table.gather(rows, out=out)
 
     def encode(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Storage-form ``(codes, scales)`` for each id — the cache payload.
 
-        Table mode hands back the *stored* codes (no recompute, single
-        rounding); composed modes quantize the freshly composed rows.
+        A single-gather form hands back the *stored* codes (no recompute,
+        single rounding); composed forms quantize the freshly composed rows.
         """
         flat = np.asarray(flat).ravel()
-        if self.mode == "table":
-            ids = self._remap(flat) if self._remap is not None else flat
-            return self._q_table.gather_codes(ids)
-        return encode_rows(self._compose_fp32(flat), self.bits)
+        root = self.form.root
+        if isinstance(root, Gather):
+            return self.form.tables[root.table].gather_codes(index_rows(root.index, flat))
+        return encode_rows(compose(self.form, self._gather, flat), self.bits)
 
     def rows(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Served FP32 rows: ``decode(encode(ids))``, fused per mode.
+        """Served FP32 rows: ``decode(encode(ids))``.
 
         Single-row and batched calls run the same elementwise decode, so
         row values never depend on batch grouping.
@@ -329,46 +150,16 @@ class QuantizedEmbedding:
         out.table.data = table
         return out
 
-    def _tables(self) -> list[QuantizedTable]:
-        if self.mode == "table":
-            return [self._q_table]
-        if self.mode == "memcom":
-            tables = [self._q_shared, self._q_mult]
-            if self._q_bias is not None:
-                tables.append(self._q_bias)
-            return tables
-        if self.mode == "tt_rec":
-            return list(self._q_cores)
-        return []
-
     def storage_bytes(self) -> int:
-        """Actually-resident bytes of the embedding representation.
-
-        Real-storage modes count codes + scales; the module fallback counts
-        its FP32 working copy (its honesty caveat — see module docstring).
-        """
-        if self.mode == "module":
-            return int(sum(p.data.nbytes for p in self._module.parameters()))
-        return int(sum(q.nbytes for q in self._tables()))
-
-    def packed_bytes(self) -> int:
-        """Shippable size: ceil-packed codes plus scale overhead, all modes."""
-        if self.mode != "module":
-            return self.storage_bytes()
-        total = 0
-        for p in self._module.parameters():
-            w = p.data
-            if w.ndim == 2 and w.shape[1] > 1:
-                total += w.shape[0] * codes_bytes_per_row(w.shape[1], self.bits)
-            else:
-                total += codes_bytes_per_row(w.size, self.bits)
-        return int(total)
+        """Resident bytes of the embedding representation: every form
+        table's codes plus scales."""
+        return int(sum(q.nbytes for q in self.form.tables.values()))
 
     def __repr__(self) -> str:
         return (
             f"QuantizedEmbedding({self.technique}, v={self.vocab_size}, "
-            f"e={self.output_dim}, bits={self.bits}, mode={self.mode}, "
-            f"{self.storage_bytes()} bytes)"
+            f"e={self.output_dim}, bits={self.bits}, {len(self.form.tables)} "
+            f"tables, {self.storage_bytes()} bytes)"
         )
 
 
@@ -381,4 +172,17 @@ def quantize_embedding(
     row's scale comes from that percentile of its magnitudes and the tail
     saturates, tightening the grid for the bulk of the distribution.
     """
-    return QuantizedEmbedding(emb, bits, percentile=percentile)
+    form = emb.frozen()
+    if form.pooled:
+        raise TypeError(
+            f"{form.technique} output is pooled, not per-row; it has no "
+            "quantized row storage (serve it FP32)"
+        )
+    tables = {}
+    for name, table in form.tables.items():
+        dense = table.dense() if isinstance(table, ShardedTable) else table.data
+        # per-row scales unless a single column (see the module docstring)
+        tables[name] = QuantizedTable.from_dense(
+            dense, bits, percentile=percentile, per_row=dense.shape[1] > 1
+        )
+    return QuantizedEmbedding(replace(form, tables=tables), bits, percentile)

@@ -8,7 +8,13 @@ dtypes), so engine outputs match ``model.eval()`` + ``forward`` without
 paying graph construction per request — and keep matching after the live
 model trains on, because the plan owns copies of the weights.
 
-The embedding stage is the serving hot path and gets two extra mechanisms:
+The embedding stage serves the technique's frozen form
+(:mod:`repro.core.frozen`): every technique states its eval forward as
+tables, gathers and one combine, and this module evaluates it over
+snapshots of the tables — one path for every technique, no module
+fallback.  A read-only (mmap-backed) table is its own snapshot, so a
+mapped artifact is served without copying its tables.  Two more
+mechanisms ride on it:
 
 * **Sharded tables** (:class:`repro.nn.sharding.ShardedTable`) are served
   through the same routed per-shard gather they train with — the bytes read
@@ -23,9 +29,9 @@ The embedding stage is the serving hot path and gets two extra mechanisms:
 
 A third mechanism is the **quantized plan** (``bits=8`` or ``bits=4``): the
 embedding is calibrated into :class:`repro.quant.QuantizedEmbedding`
-integer storage (int8 codes + per-row scales; int4 packs two codes per
-byte), rows are served through the fused gather→dequantize kernels, and the
-hot-row cache becomes a :class:`repro.serve.cache.QuantizedRowCache` that
+integer storage — every form table as int8 codes + scales (int4 packs two
+codes per byte) — rows are served through the fused gather→dequantize
+kernels, and the hot-row cache becomes a :class:`repro.serve.cache.QuantizedRowCache` that
 stores *codes* instead of FP32 rows — the same byte budget holds ≈4× more
 rows at int8.  Hits decode through the same kernel as misses, so cached and
 uncached quantized engines serve bit-identical predictions; the whole plan
@@ -43,15 +49,15 @@ can assemble the identical closure chain from an on-disk
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
 from repro.artifact.errors import ArtifactFormatError
 from repro.artifact.plan import TowerPlan, build_tower, tower_plan_of
-from repro.core.memcom import MEmComEmbedding
-from repro.core.onehot import HashedOneHotEncoder
+from repro.core.frozen import compose
 from repro.nn.sharding import ShardedTable
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Parameter
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
 from repro.quant.kernels import decode_rows
 from repro.serve.cache import LRUCache, QuantizedRowCache
@@ -96,39 +102,47 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
     return arr if not arr.flags.writeable else arr.copy()
 
 
-def _freeze_table(table) -> "callable":
-    """Row getter over a snapshot of a Parameter or ShardedTable.
+def _freeze_table(table) -> tuple["callable", int]:
+    """``(take, nbytes)``: a row getter over a snapshot of a Parameter or
+    ShardedTable, and the snapshot's bytes.
 
-    The getter accepts an optional preallocated ``out`` buffer.  Sharded
-    tables keep their partitioned layout: lookups route per shard, exactly
-    as a multi-host deployment would, returning the same bytes a monolithic
+    The getter accepts an optional preallocated ``out`` buffer; ``ids=None``
+    returns the whole table (a projection weight).  Sharded tables keep
+    their partitioned layout: lookups route per shard, exactly as a
+    multi-host deployment would, returning the same bytes a monolithic
     gather yields.
     """
     if isinstance(table, ShardedTable):
-        shards = [_snapshot(p.data) for p in table.shards]
-        shard_of = table._shard_of.copy()
-        local_of = table._local_of.copy()
-        dim = table.num_cols
-        dtype = table.dtype
-
-        def take(ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            if out is None:
-                out = np.empty((ids.size, dim), dtype=dtype)
-            sid = shard_of[ids]
-            loc = local_of[ids]
-            for s, arr in enumerate(shards):
-                sel = np.flatnonzero(sid == s)
-                if sel.size:
-                    out[sel] = arr[loc[sel]]
-            return out
-
-        return take
+        # The routing is fixed by the table's shape; only the shard
+        # payloads need freezing, and the table's own routed gather serves.
+        frozen = copy.copy(table)
+        frozen.shards = [Parameter(_snapshot(p.data), p.name) for p in table.shards]
+        return frozen.take_rows, sum(p.data.nbytes for p in frozen.shards)
     arr = _snapshot(table.data)
 
-    def take_dense(ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return arr.take(ids, axis=0, out=out)
+    def take_dense(ids: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+        return arr if ids is None else arr.take(ids, axis=0, out=out)
 
-    return take_dense
+    return take_dense, arr.nbytes
+
+
+def _freeze_form(form) -> tuple["callable", int]:
+    """``(compose_fn, table_bytes)`` over snapshots of a form's tables — the
+    FP32 plan of every technique.  ``compose_fn(ids, out=None)`` composes
+    one row per flat id, or one pooled row per ``(B, L)`` request."""
+    takes, table_bytes = {}, 0
+    for name, table in form.tables.items():
+        takes[name], nbytes = _freeze_table(table)
+        table_bytes += nbytes
+    form = replace(form, tables={})  # the plan holds snapshots, not live tables
+
+    def gather(name: str, rows, out=None) -> np.ndarray:
+        return takes[name](rows, out)
+
+    def rows(ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return compose(form, gather, ids, out)
+
+    return rows, table_bytes
 
 
 class InferenceEngine:
@@ -173,24 +187,13 @@ class InferenceEngine:
         if not hasattr(model, "embedding") or not hasattr(model, "input_length"):
             raise TypeError(f"no serving plan for model type {type(model).__name__}")
         model.eval()
-        bits = 32 if bits is None else int(bits)
-        if bits not in (32, 8, 4):
-            raise ValueError(f"serving bits must be 32, 8 or 4, got {bits}")
-        emb = model.embedding
-        qemb = None
-        if bits != 32:
-            # Calibrate into integer storage; rows serve through the fused
-            # gather→dequant kernels (raises for the pooled one-hot encoder,
-            # which has no per-row storage).
-            qemb = quantize_embedding(emb, bits, percentile=calibration_percentile)
-            emb = None
         self._init_plan(
-            embedding_module=emb,
-            qemb=qemb,
-            tower_plan=tower_plan_of(model),
+            model.embedding,
+            tower_plan_of(model),
             model_name=type(model).__name__,
             input_length=model.input_length,
             bits=bits,
+            calibration_percentile=calibration_percentile,
             cache_rows=cache_rows,
             cache_min_count=cache_min_count,
             cache_ttl=cache_ttl,
@@ -219,31 +222,13 @@ class InferenceEngine:
         bit-identical to the engine it was saved from.
         """
         self = object.__new__(cls)
-        if isinstance(embedding, QuantizedEmbedding):
-            if bits is not None and int(bits) != embedding.bits:
-                raise ValueError(
-                    f"bits={bits} conflicts with the quantized embedding's "
-                    f"int{embedding.bits} storage"
-                )
-            module, qemb, bits = None, embedding, embedding.bits
-        else:
-            bits = 32 if bits is None else int(bits)
-            if bits not in (32, 8, 4):
-                raise ValueError(f"serving bits must be 32, 8 or 4, got {bits}")
-            module, qemb = embedding, None
-            module.eval()
-            if bits != 32:
-                qemb = quantize_embedding(
-                    module, bits, percentile=calibration_percentile
-                )
-                module = None
         self._init_plan(
-            embedding_module=module,
-            qemb=qemb,
-            tower_plan=tower_plan,
+            embedding,
+            tower_plan,
             model_name=model_name,
             input_length=input_length,
             bits=bits,
+            calibration_percentile=calibration_percentile,
             cache_rows=cache_rows,
             cache_min_count=cache_min_count,
             cache_ttl=cache_ttl,
@@ -282,37 +267,55 @@ class InferenceEngine:
 
     def _init_plan(
         self,
-        *,
-        embedding_module,
-        qemb,
+        embedding,
         tower_plan: TowerPlan,
+        *,
         model_name: str,
         input_length: int,
-        bits: int,
+        bits: int | None,
+        calibration_percentile: float | None,
         cache_rows: int | None,
         cache_min_count: int,
         cache_ttl: int | None,
     ) -> None:
-        """Shared tail of both constructors: wire plan, cache and tower."""
+        """Shared body of both constructors: calibrate the embedding when
+        ``bits`` asks for integer storage, then wire plan, cache and tower."""
+        if isinstance(embedding, QuantizedEmbedding):
+            if bits is not None and int(bits) != embedding.bits:
+                raise ValueError(
+                    f"bits={bits} conflicts with the quantized embedding's "
+                    f"int{embedding.bits} storage"
+                )
+            bits = embedding.bits
+        else:
+            bits = 32 if bits is None else int(bits)
+            if bits not in (32, 8, 4):
+                raise ValueError(f"serving bits must be 32, 8 or 4, got {bits}")
+            if bits != 32:
+                # Calibrate into integer storage (raises for the pooled
+                # one-hot encoder, which has no per-row storage).
+                embedding = quantize_embedding(
+                    embedding, bits, percentile=calibration_percentile
+                )
         self.model_name = model_name
         self.input_length = int(input_length)
-        self.bits = int(bits)
+        self.bits = bits
         self.requests_served = 0
         self.batches_served = 0
-        self._qemb = qemb
-        if qemb is not None:
-            self.embedding_dim = qemb.output_dim
-            self.vocab_size = qemb.vocab_size
-            self._embed_rows, self._embed_pooled = qemb.rows, None
-            self._table_bytes = qemb.storage_bytes()
+        if bits != 32:
+            self._qemb = embedding
+            form = embedding.form
+            self._embed_rows = embedding.rows
+            self._table_bytes = embedding.storage_bytes()
         else:
-            emb = embedding_module
-            self.embedding_dim = emb.output_dim
-            self.vocab_size = int(
-                getattr(emb, "vocab_size", None) or emb.num_embeddings
-            )
-            self._embed_rows, self._embed_pooled = self._freeze_embedding(emb)
-            self._table_bytes = int(sum(p.data.nbytes for p in emb.parameters()))
+            self._qemb = None
+            form = embedding.eval().frozen()
+            self._embed_rows, self._table_bytes = _freeze_form(form)
+        self.embedding_dim = form.output_dim
+        self.vocab_size = form.vocab_size
+        self._embed_pooled = None
+        if form.pooled:
+            self._embed_pooled, self._embed_rows = self._embed_rows, None
         self._rows_scratch = _RowScratch(self.embedding_dim)
         self.cache: LRUCache | None = None
         if cache_rows is not None and self._embed_rows is not None:
@@ -334,63 +337,6 @@ class InferenceEngine:
                     count_ttl=cache_ttl,
                 )
         self._tower = build_tower(tower_plan)
-
-    # -- freezing --------------------------------------------------------------
-
-    def _freeze_embedding(self, emb):
-        """Return ``(row_fn, pooled_fn)`` — exactly one is non-None.
-
-        ``row_fn(flat_ids) -> (N, e)`` composes one row per id (cacheable);
-        ``pooled_fn(ids_2d) -> (B, e)`` is the fallback for encoders whose
-        output is not per-id (the hashed one-hot 'matrix approach').
-        """
-        if isinstance(emb, MEmComEmbedding):
-            shared = _snapshot(emb.shared.data)
-            m = emb.num_hash_embeddings
-            take_mult = _freeze_table(emb.multiplier)
-            take_bias = _freeze_table(emb.bias_table) if emb.bias_table is not None else None
-
-            def rows(flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-                # Mirrors ops.muladd elementwise: U-row gather, in-place
-                # multiplier broadcast, in-place bias add.
-                out = shared.take(flat % m, axis=0, out=out)
-                np.multiply(out, take_mult(flat), out=out)
-                if take_bias is not None:
-                    np.add(out, take_bias(flat), out=out)
-                return out
-
-            return rows, None
-        from repro.core.full import FullEmbedding
-        from repro.nn.embedding import Embedding
-        from repro.nn.sharding import ShardedEmbedding
-
-        if isinstance(emb, (FullEmbedding, ShardedEmbedding)):
-            # Forward is exactly ``table[ids]`` for these (hash/truncate
-            # techniques remap ids first and take the module fallback below).
-            return _freeze_table(emb.table), None
-        if isinstance(emb, Embedding):
-            return _freeze_table(emb.weight), None
-        # Remaining techniques compose through the module itself.  Deep-copy
-        # it so the plan owns its weights like every other path — otherwise
-        # a cache filled before further training would mix stale cached rows
-        # with fresh live-weight composes in one batch.
-        frozen = copy.deepcopy(emb)
-        frozen.eval()
-
-        if isinstance(frozen, HashedOneHotEncoder):
-            def pooled(ids: np.ndarray) -> np.ndarray:
-                with no_grad():
-                    return frozen(ids).numpy()
-
-            return None, pooled
-
-        # Generic per-id fallback: every remaining technique composes rows
-        # independently per id, so this stays cache-compatible.
-        def rows_fallback(flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            with no_grad():
-                return frozen(flat).numpy()  # module owns its buffers; out unused
-
-        return rows_fallback, None
 
     # -- embedding with the hot-row cache --------------------------------------
 

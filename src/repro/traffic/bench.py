@@ -38,6 +38,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.registry import default_hyper
 from repro.models.builder import build_pointwise_ranker
 from repro.serve.session import ServeConfig, ServeSession
 from repro.traffic.model import TrafficModel, TrafficSpec
@@ -123,11 +124,7 @@ def calibration_ms(iters: int = 30) -> float:
 
 
 def _build_model(technique: str, vocab: int, seed: int = 0):
-    hyper = {
-        "memcom": {"num_hash_embeddings": max(2, vocab // 16)},
-        "tt_rec": {"tt_rank": max(2, _EMBEDDING_DIM // 8)},
-        "full": {},
-    }[technique]
+    hyper = default_hyper(technique, vocab, _EMBEDDING_DIM, hash_fraction=16)
     return build_pointwise_ranker(
         technique, vocab, _NUM_ITEMS,
         input_length=BENCH_SPEC.input_length,

@@ -9,6 +9,7 @@ against.
 
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -49,4 +50,59 @@ def downgrade(src: str, dst: str, version: int) -> str:
     manifest["payloads"] = index
     with open(os.path.join(dst, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    return dst
+
+
+def legacy_quant_layout(src: str, dst: str, embedding) -> str:
+    """Write the quantized container at ``src`` as runtimes before frozen
+    forms laid it out: the same per-table codes/scales payloads, but a
+    quant section keyed by ``mode`` (table, memcom or tt_rec) instead of a
+    form.  ``embedding`` is the FP32 module the container was exported
+    from; its attributes fill the mode's fields exactly as those writers
+    did.
+    """
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    quant = manifest["embedding"]["quant"]
+    del quant["form"]
+    if hasattr(embedding, "tt_rank"):
+        quant.update(
+            mode="tt_rec",
+            vocab_shape=list(embedding.vocab_shape),
+            dim_shape=list(embedding.dim_shape),
+            tt_rank=embedding.tt_rank,
+        )
+    elif hasattr(embedding, "multiplier"):
+        quant.update(mode="memcom", num_hash=embedding.num_hash_embeddings)
+    else:
+        quant.update(mode="table", remap_keep=getattr(embedding, "keep", None))
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    return dst
+
+
+def legacy_module_mode(src: str, dst: str) -> str:
+    """Rewrite the FP32 container at ``src`` into the int8 *module mode*
+    section those runtimes wrote for techniques without integer storage:
+    the FP32 state under ``embedding/module/*`` plus its rebuild spec."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    section = manifest["embedding"]
+    manifest["bits"] = 8
+    section["kind"] = "quantized"
+    section["quant"] = {
+        "bits": 8, "percentile": None, "technique": section["technique"],
+        "vocab_size": section["vocab_size"], "output_dim": section["output_dim"],
+        "mode": "module",
+    }
+    manifest["payloads"] = {
+        name.replace("embedding/", "embedding/module/", 1): meta
+        for name, meta in manifest["payloads"].items()
+    }
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
     return dst

@@ -1,5 +1,5 @@
-"""Back-compat matrix: v1/v2 containers read bit-identically under the v3
-reader.
+"""Back-compat matrix: v1/v2 containers — and quantized sections written
+before frozen forms — read bit-identically under the current reader.
 
 Old writers are gone, so the fixtures are materialized in-test by
 ``downgrade`` — the exact layout v1/v2 writers produced (one member file
@@ -16,9 +16,9 @@ import sys
 import numpy as np
 import pytest
 
-from artifact_helpers import downgrade
+from artifact_helpers import downgrade, legacy_module_mode, legacy_quant_layout
 from repro.artifact import load_artifact, save_artifact
-from repro.artifact.errors import ArtifactVersionError
+from repro.artifact.errors import ArtifactFormatError, ArtifactVersionError
 from repro.serve.session import ServeConfig, ServeSession
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "pipeline"))
@@ -126,3 +126,60 @@ class TestV2CheckpointResume:
         aa, bb = load_artifact(pa), load_artifact(pb)
         for name in aa.manifest["payloads"]:
             assert np.array_equal(aa.array(name), bb.array(name)), name
+
+
+class TestLegacyQuantizedSections:
+    """Quantized containers written before frozen forms: the table, memcom
+    and tt_rec modes stored the same per-table payloads and still serve;
+    the module mode stored an FP32 working copy and fails typed."""
+
+    @pytest.mark.parametrize("technique,hyper", [
+        ("full", {}),
+        ("truncate_rare", {"keep": 50}),
+        ("memcom", {"num_hash_embeddings": 32}),
+        ("memcom_nobias", {"num_hash_embeddings": 32}),
+        ("tt_rec", {"tt_rank": 3}),
+    ])
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_legacy_modes_serve_bit_identical(self, tmp_path, technique, hyper, bits):
+        from repro.models.builder import build_pointwise_ranker
+
+        model = build_pointwise_ranker(
+            technique, VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
+            rng=0, **hyper,
+        )
+        new = str(tmp_path / "new")
+        save_artifact(model, new, bits=bits)
+        old = legacy_quant_layout(new, str(tmp_path / "old"), model.embedding)
+        manifest = load_artifact(old).manifest
+        assert "form" not in manifest["embedding"]["quant"]
+        ids = np.random.default_rng(5).integers(0, VOCAB, size=(24, LENGTH))
+        with ServeSession.load(new) as a, ServeSession.load(old) as b:
+            assert np.array_equal(a.predict(ids), b.predict(ids))
+
+    def test_quantized_artifact_stores_one_payload_pair_per_form_table(self, tmp_path):
+        from repro.models.builder import build_pointwise_ranker
+
+        model = build_pointwise_ranker(
+            "factorized", VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
+            rng=0, hidden_dim=4,
+        )
+        art = save_artifact(model, str(tmp_path / "q"), bits=8)
+        names = {n for n in art.manifest["payloads"] if n.startswith("embedding/")}
+        assert names == {
+            f"embedding/{t}.{part}" for t in ("table", "projection")
+            for part in ("codes", "scales")
+        }
+
+    def test_legacy_module_mode_fails_typed(self, tmp_path):
+        from repro.models.builder import build_pointwise_ranker
+
+        model = build_pointwise_ranker(
+            "hash", VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
+            rng=0, num_hash_embeddings=32,
+        )
+        fp32 = str(tmp_path / "fp32")
+        save_artifact(model, fp32)
+        old = legacy_module_mode(fp32, str(tmp_path / "module"))
+        with pytest.raises(ArtifactFormatError, match="'hash'.*re-export it from the FP32"):
+            ServeSession.load(old)

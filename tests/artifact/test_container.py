@@ -262,6 +262,6 @@ class TestTypedErrors:
     def test_missing_quant_meta_key_is_format_error(self, tmp_path):
         out = str(tmp_path / "q2")
         save_artifact(_model(), out, bits=8)
-        _rewrite_manifest(out, lambda m: m["embedding"]["quant"].pop("num_hash"))
+        _rewrite_manifest(out, lambda m: m["embedding"]["quant"].pop("form"))
         with pytest.raises(ArtifactFormatError, match="quantized embedding"):
             load_artifact(out).serving_embedding()

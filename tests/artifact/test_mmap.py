@@ -113,28 +113,42 @@ _RSS_PROBE = textwrap.dedent("""
 
     import numpy as np
     from repro.artifact import load_artifact
+    from repro.serve.session import ServeConfig, ServeSession
 
     before = rss_kib()
     art = load_artifact(sys.argv[1], mmap=sys.argv[2] == "mmap")
-    table = art.array("embedding/table")
-    # touch a handful of rows — what a sparse request pattern costs
-    _ = float(table[0].sum() + table[-1].sum())
+    # The whole serving stack, engine included: its plan must adopt the
+    # read-only mapped tables, not copy them.
+    session = ServeSession.load(art)
+    # serve a handful of rows — what a sparse request pattern costs
+    ids = np.arange(session.engine.input_length)[None, :]
+    _ = float(session.predict(np.concatenate([ids, ids[:, ::-1] * 97])).sum())
     print(rss_kib() - before)
 """)
 
+#: techniques whose ~24.4 MiB table is a (50,000 × 128) gather table;
+#: hash, truncate_rare and factorized once served through a deep copy
+_BIG_TABLE = {
+    "full": {},
+    "truncate_rare": {"keep": 49_998},
+    "hash": {"num_hash_embeddings": 50_000},
+    "factorized": {"hidden_dim": 128},
+}
+
 
 class TestMemoryFootprint:
-    def test_mmap_does_not_materialize_the_table(self, tmp_path):
-        """A table much larger than interpreter noise: the eager load's RSS
-        must carry it, the mmap load's must not."""
+    @pytest.mark.parametrize("technique", sorted(_BIG_TABLE))
+    def test_mmap_does_not_materialize_the_table(self, tmp_path, technique):
+        """A table much larger than interpreter noise: loading and serving
+        it eagerly carries it in RSS, mapped it costs touched pages only."""
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc for a current-RSS reading")
         from repro.models.builder import build_pointwise_ranker
 
-        big_vocab, big_dim = 40_000, 128  # 40000×128×4B ≈ 19.5 MiB
+        big_vocab, big_dim = 50_000, 128  # 50000×128×4B ≈ 24.4 MiB
         model = build_pointwise_ranker(
-            "full", big_vocab, CATALOG, input_length=LENGTH,
-            embedding_dim=big_dim, rng=0,
+            technique, big_vocab, CATALOG, input_length=LENGTH,
+            embedding_dim=big_dim, rng=0, **_BIG_TABLE[technique],
         )
         path = str(tmp_path / "big")
         save_artifact(model, path)
@@ -148,10 +162,12 @@ class TestMemoryFootprint:
             )
             return int(out.stdout.strip())
 
-        eager, mapped = grew_kib("eager"), grew_kib("mmap")
-        # eager grows by the whole table; mmap only by the touched pages.
-        # Demand at least half the table's worth of daylight between them.
-        assert mapped + table_kib / 2 < eager, (
-            f"mmap load grew RSS by {mapped} KiB vs eager {eager} KiB "
+        mapped = grew_kib("mmap")
+        assert mapped < table_kib / 2, (
+            f"mmap load + serving grew RSS by {mapped} KiB "
             f"(table is {table_kib} KiB)"
         )
+        if technique == "full":
+            # The probe sees a materialized table: the eager load carries
+            # the whole table (and its plan snapshot) in RSS.
+            assert mapped + table_kib / 2 < grew_kib("eager")

@@ -1,5 +1,8 @@
 """Model export to the device IR."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,17 @@ TECHNIQUES = [
     ("reduce_dim", dict(reduced_dim=4)),
     ("truncate_rare", dict(keep=50)),
     ("hashed_onehot", dict(num_hash_embeddings=20)),
+    ("freq_double_hash", dict(num_hash_embeddings=20)),
+    ("tt_rec", dict(tt_rank=4)),
+    ("mixed_dim", dict(num_blocks=3)),
 ]
+BUILDERS = {
+    "classifier": build_classifier,
+    "pointwise": build_pointwise_ranker,
+    "ranknet": build_ranknet,
+}
+with open(os.path.join(os.path.dirname(__file__), "export_pins.json")) as _fh:
+    PINS = json.load(_fh)
 
 
 class TestExportCoverage:
@@ -122,3 +135,39 @@ class TestSizing:
     def test_peak_activation_positive(self):
         model = build_classifier("full", V, C, input_length=L, embedding_dim=E, rng=0)
         assert export_model(model).peak_activation_bytes() > 0
+
+
+class TestPinnedTotals:
+    """The form-driven exporter reproduces the per-technique exporter it
+    replaced: totals for every technique × architecture × batch, and the
+    exact op lists of the two Table 3 models."""
+
+    @pytest.mark.parametrize("technique,hyper", TECHNIQUES)
+    @pytest.mark.parametrize("architecture", sorted(BUILDERS))
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_totals_match_recorded(self, technique, hyper, architecture, batch):
+        model = BUILDERS[architecture](
+            technique, V, C, input_length=L, embedding_dim=E, rng=0, **hyper
+        )
+        exported = export_model(model, batch_size=batch)
+        key = f"{technique}/{architecture}/b{batch}"
+        assert {
+            "total_flops": exported.total_flops(),
+            "on_disk_bytes": [
+                exported.on_disk_bytes(),
+                exported.quantized(8).on_disk_bytes(),
+                exported.quantized(4).on_disk_bytes(),
+            ],
+            "peak_activation_bytes": exported.peak_activation_bytes(),
+            "embedding_weights": sorted(
+                [list(w.shape), w.storage]
+                for name, w in exported.weights.items()
+                if name.startswith("embedding")
+            ),
+        } == PINS["totals"][key]
+        if technique in ("memcom_nobias", "hashed_onehot"):
+            assert [
+                [op.kind, op.name, op.flops, op.activation_bytes,
+                 list(op.weights), op.touched_bytes]
+                for op in exported.ops
+            ] == PINS["ops"][key]

@@ -1,16 +1,21 @@
 """InferenceEngine correctness: frozen plan ≡ eager eval-mode forward.
 
-The engine mirrors the eval forward operation for operation, so agreement is
-asserted *bitwise* for the snapshot-frozen techniques and to tight allclose
-for the module-fallback ones (same code path, so those are bitwise too in
-practice).  Also pinned: freezing snapshots weights (later training must not
-change engine outputs), sharded engines serve through the routed layout,
-and input validation mirrors the models'.
+Every technique serves through its frozen form, which mirrors the eval
+forward operation for operation: composed rows are asserted *bitwise*
+against the module per id, whole-batch predictions to tight allclose (the
+tower's GEMMs may pick different BLAS kernels than eager by batch shape).
+Also pinned: freezing snapshots weights (later training must not change
+engine outputs), sharded engines serve through the routed layout, and
+input validation mirrors the models'.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.registry import available_techniques
 from repro.models.builder import (
     build_classifier,
     build_pointwise_ranker,
@@ -30,22 +35,38 @@ BUILDERS = {
     "ranknet": build_ranknet,
 }
 
+#: every registered technique, plus hash under its universal family —
+#: keyed by test id, valued ``(technique, hyperparameters)``
 TECHNIQUES = {
-    "memcom": {"num_hash_embeddings": 32},
-    "memcom_nobias": {"num_hash_embeddings": 32},
-    "full": {},
-    "qr_mult": {"num_hash_embeddings": 32},
-    "double_hash": {"num_hash_embeddings": 32},
-    "tt_rec": {"tt_rank": 4},
-    "factorized": {"hidden_dim": 4},
-    "hashed_onehot": {"num_hash_embeddings": 32},
+    "full": ("full", {}),
+    "memcom": ("memcom", {"num_hash_embeddings": 32}),
+    "memcom_nobias": ("memcom_nobias", {"num_hash_embeddings": 32}),
+    "qr_mult": ("qr_mult", {"num_hash_embeddings": 32}),
+    "qr_concat": ("qr_concat", {"num_hash_embeddings": 32}),
+    "hash": ("hash", {"num_hash_embeddings": 32}),
+    "hash_universal": (
+        "hash", {"num_hash_embeddings": 32, "hash_family": "universal"}
+    ),
+    "double_hash": ("double_hash", {"num_hash_embeddings": 32}),
+    "freq_double_hash": ("freq_double_hash", {"num_hash_embeddings": 32}),
+    "factorized": ("factorized", {"hidden_dim": 4}),
+    "reduce_dim": ("reduce_dim", {"reduced_dim": 8}),
+    "truncate_rare": ("truncate_rare", {"keep": 50}),
+    "hashed_onehot": ("hashed_onehot", {"num_hash_embeddings": 32}),
+    "tt_rec": ("tt_rec", {"tt_rank": 4}),
+    "mixed_dim": ("mixed_dim", {"num_blocks": 3}),
 }
+PER_ID = sorted(set(TECHNIQUES) - {"hashed_onehot"})
 
 
-def _model(architecture="pointwise", technique="memcom", seed=3):
+def test_every_registered_technique_is_covered():
+    assert {t for t, _ in TECHNIQUES.values()} == set(available_techniques())
+
+
+def _model(architecture="pointwise", technique="memcom", seed=3, dim=E):
+    name, hyper = TECHNIQUES[technique]
     return BUILDERS[architecture](
-        technique, V, C, input_length=L, embedding_dim=E, rng=seed,
-        **TECHNIQUES[technique],
+        name, V, C, input_length=L, embedding_dim=dim, rng=seed, **hyper,
     )
 
 
@@ -67,6 +88,17 @@ class TestEngineMatchesEager:
             np.testing.assert_allclose(
                 engine.predict(x), _eager(model, x), rtol=1e-6, atol=1e-7
             )
+
+    @pytest.mark.parametrize("technique", PER_ID)
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_compose_rows_bitwise_equals_module_forward(self, technique, dim):
+        model = _model(technique=technique, dim=dim)
+        engine = InferenceEngine(model)
+        for n in (1, 7, 64, 600):
+            flat = np.random.default_rng(n).integers(0, V, size=n)
+            with no_grad():
+                want = model.embedding(flat).numpy()
+            np.testing.assert_array_equal(engine.compose_rows(flat), want)
 
     @pytest.mark.parametrize("architecture", sorted(BUILDERS))
     def test_bitwise_for_frozen_techniques(self, architecture):
@@ -108,10 +140,24 @@ class TestEngineMatchesEager:
         model.embedding.multiplier.data += 1.0
         np.testing.assert_array_equal(engine.predict(x), before)
 
-    @pytest.mark.parametrize("technique", ["tt_rec", "qr_mult"])
+    @pytest.mark.parametrize("technique", ["factorized", "memcom"])
+    def test_plan_does_not_keep_the_model_tables_alive(self, technique):
+        """The plan holds its snapshots only: once the model is dropped, its
+        tables can be freed (an eager artifact load would otherwise keep
+        two copies of every table resident)."""
+        model = _model("pointwise", technique)
+        tables = [weakref.ref(p.data) for p in model.embedding.parameters()]
+        engine = InferenceEngine(model)
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in tables)
+        assert engine.predict(np.zeros((1, L), dtype=np.int64)).shape == (1, C)
+
+    @pytest.mark.parametrize("technique", sorted(TECHNIQUES))
     def test_fallback_plan_is_a_snapshot_too(self, technique):
-        """Module-fallback techniques must not mix cached (stale) rows with
-        live-weight composes after the model trains on."""
+        """Every technique's form serves snapshots: a cached engine must not
+        mix stale cached rows with live-weight composes after the model
+        trains on."""
         model = _model("pointwise", technique)
         x = np.random.default_rng(5).integers(0, V, size=(4, L))
         engine = InferenceEngine(model, cache_rows=8)  # tiny: constant misses
@@ -133,7 +179,7 @@ class TestEngineMatchesEager:
         bare id, and a bare id is still the wrong shape at any other length."""
         model = build_pointwise_ranker(
             "memcom", V, C, input_length=1, embedding_dim=E, rng=3,
-            **TECHNIQUES["memcom"],
+            **TECHNIQUES["memcom"][1],
         )
         engine = InferenceEngine(model)
         rows = engine.predict(np.array([[5], [V - 1]]))

@@ -28,11 +28,21 @@ BUILDERS = {
     "ranknet": build_ranknet,
 }
 
+#: every per-id technique (the pooled one-hot encoder has no row storage)
 TECHNIQUES = {
     "memcom": {"num_hash_embeddings": 32},
+    "memcom_nobias": {"num_hash_embeddings": 32},
     "full": {},
+    "reduce_dim": {"reduced_dim": 8},
+    "truncate_rare": {"keep": 50},
     "tt_rec": {"tt_rank": 4},
     "qr_mult": {"num_hash_embeddings": 32},
+    "qr_concat": {"num_hash_embeddings": 32},
+    "hash": {"num_hash_embeddings": 32},
+    "double_hash": {"num_hash_embeddings": 32},
+    "freq_double_hash": {"num_hash_embeddings": 32},
+    "factorized": {"hidden_dim": 4},
+    "mixed_dim": {"num_blocks": 3},
 }
 
 

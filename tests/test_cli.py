@@ -305,6 +305,50 @@ class TestServeBenchChecksums:
         assert "'int8+cache'" in err and "Traceback" not in err
 
 
+class TestServeBenchEveryTechnique:
+    """The serving front doors take every registered technique."""
+
+    def test_technique_choices_are_the_registry(self):
+        for command in ("serve-bench", "export-artifact"):
+            extra = ["out"] if command == "export-artifact" else []
+            for technique in available_techniques():
+                args = build_parser().parse_args(
+                    [command, *extra, "--technique", technique]
+                )
+                assert args.technique == technique
+
+    def test_factorized_int8_stores_real_integers(self, capsys):
+        code = main(["serve-bench", "--technique", "factorized", "--bits", "8", "--smoke"])
+        assert code == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("int8 table-resident bytes")
+        )
+        ratio = float(line.split("(")[1].split("×")[0])
+        assert ratio <= 0.35, line
+
+    def test_export_shards_of_an_unshardable_technique_is_a_clean_error(
+        self, tmp_path, capsys
+    ):
+        code = main(["export-artifact", str(tmp_path / "a"), "--technique", "hash",
+                     "--vocab", "400", "--embedding-dim", "8", "--shards", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and "no sharded variant" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["serve-bench", "export-artifact"])
+    @pytest.mark.parametrize("bits", ["8", "4"])
+    def test_pooled_onehot_quantized_is_a_one_line_error(
+        self, tmp_path, capsys, command, bits
+    ):
+        extra = [str(tmp_path / "a")] if command == "export-artifact" else []
+        code = main([command, *extra, "--technique", "hashed_onehot", "--bits", bits,
+                     "--vocab", "400", "--embedding-dim", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "pools" in err
+        assert "Traceback" not in err
+
+
 class TestArtifactBits:
     """serve-bench --artifact honors --bits (review regression)."""
 
