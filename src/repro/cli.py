@@ -328,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch-size", type=int, default=64)
     p_serve.add_argument(
         "--cache-rows", type=int, default=4096,
-        help="LRU hot-row cache capacity (composed embedding rows); 0 disables "
-        "the cached configurations' cache",
+        help="LRU hot-row cache capacity (composed embedding rows) of the "
+        "+cache rows; an engine whose rows cost less than a cache hit "
+        "declines it and the reason prints under the table; 0 disables it",
     )
     p_serve.add_argument(
         "--cache-min-count", type=int, default=1,
@@ -1225,6 +1226,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             ],
             title=title,
         ))
+        for label, session in sessions.items():
+            if session.engine.cache_declined is not None:
+                print(f"{label}: cache declined: {session.engine.cache_declined}")
         if args.artifact is None and args.bits != 32:
             fp32_bytes = sessions["monolithic"].engine.table_resident_bytes()
             q_bytes = sessions[f"int{args.bits}"].engine.table_resident_bytes()

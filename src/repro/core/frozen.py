@@ -81,10 +81,15 @@ class FrozenForm:
     root: Node
 
     @property
+    def combine_ops(self) -> frozenset:
+        """The :data:`COMBINES` ops in the tree (empty for one gather)."""
+        return frozenset(n.op for n in _walk(self.root) if isinstance(n, Combine))
+
+    @property
     def pooled(self) -> bool:
         """Whether the output is one pooled row per ``(B, L)`` request
         rather than one row per id (the hashed one-hot bag)."""
-        return any(n.op == "bag" for n in _walk(self.root) if isinstance(n, Combine))
+        return "bag" in self.combine_ops
 
     def spec(self) -> dict:
         """The JSON-serializable tree (tables travel separately)."""

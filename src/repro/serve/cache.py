@@ -3,8 +3,9 @@
 Request traffic over a frequency-sorted vocabulary is Zipf-distributed
 (§4 of the paper), so a small cache of composed embedding rows absorbs most
 lookups: the head ids recur in nearly every batch.  The cache stores *final*
-per-id embedding vectors (for MEmCom, ``U[i mod m] ⊙ V[i] + W[i]`` already
-composed), keyed on the raw id.
+per-id embedding vectors (for TT-Rec, the contracted row), keyed on the raw
+id.  The serving engine builds one only where composing a row costs more
+than a hit (DESIGN.md §6).
 
 The layout is built so the hot path is pure vectorized NumPy:
 

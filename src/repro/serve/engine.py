@@ -24,8 +24,12 @@ mechanisms ride on it:
   ids, serves hits from the cache, computes only the misses and inserts
   them.  Because embedding composition is per-id (every technique except the
   pooled one-hot encoder), a cached row is byte-for-byte the row the miss
-  path computes — Zipf traffic then skips most of the per-request embedding
-  arithmetic (DESIGN.md §6).
+  path computes.  A hit costs a lookup, an insert and a row copy, so the
+  engine builds a requested cache only where a miss costs more: a static
+  rule over the plan's form and width (:func:`_cache_declined`, measured in
+  DESIGN.md §6) keeps it for TT contractions, masked projections and
+  re-quantized composed rows, and serves one-gather and FP32
+  gather-plus-elementwise plans uncached.
 
 A third mechanism is the **quantized plan** (``bits=8`` or ``bits=4``): the
 embedding is calibrated into :class:`repro.quant.QuantizedEmbedding`
@@ -145,6 +149,33 @@ def _freeze_form(form) -> tuple["callable", int]:
     return rows, table_bytes
 
 
+#: combines whose miss costs real arithmetic at any width: the TT
+#: contraction, and the masked sum of per-block projections
+_COSTLY_COMBINES = frozenset({"tt", "masked_sum"})
+
+
+def _cache_declined(form, bits: int) -> str | None:
+    """Why a hot-row cache would not pay on this plan; ``None`` if it does.
+
+    A hit costs a lookup, an insert and a row copy.  That pays for a TT
+    contraction or masked projections at any width, and for a composed row
+    the quantized plan re-quantizes on every miss.  It does not pay for one
+    gather, nor for FP32 gathers joined by ``mul``/``add``/``concat`` or one
+    ``project`` (DESIGN.md §6 has the measured table).
+    """
+    if form.pooled:
+        return "pooled output has no per-id rows"
+    ops = form.combine_ops
+    if ops & _COSTLY_COMBINES or (bits != 32 and ops):
+        return None
+    if not ops:
+        return "a row is one gather, which costs less than a cache hit"
+    return (
+        f"an FP32 row is gathers plus {'/'.join(sorted(ops))}, which costs "
+        "less than a cache hit"
+    )
+
+
 class InferenceEngine:
     """Forward-only serving plan for a classifier / pointwise / RankNet model.
 
@@ -156,8 +187,10 @@ class InferenceEngine:
         the plan.
     cache_rows:
         Capacity of the LRU hot-row cache (number of composed embedding
-        rows).  ``None`` disables caching.  Ignored for the pooled one-hot
-        encoder, whose output is not per-id.
+        rows) where the plan's rows are expensive enough to cache; ``None``
+        disables caching.  Plans the cache would slow down (one gather,
+        FP32 gathers plus elementwise ops, the pooled one-hot encoder)
+        decline it: ``cache`` stays ``None`` and ``cache_declined`` says why.
     bits:
         ``None``/``32`` serves FP32 (the default).  ``8`` or ``4`` builds
         the quantized plan: integer-storage embedding tables, fused
@@ -242,8 +275,9 @@ class InferenceEngine:
         The one artifact → engine builder: :class:`~repro.serve.ServeSession`
         serves it, and the multi-process runtime's fallback and every
         replica worker build theirs here from the same artifact and config
-        (hot-row cache included), so all of them run the same floats.  An
-        already-quantized artifact cannot be served at a different width.
+        (the hot-row cache decision included), so all of them run the same
+        floats.  An already-quantized artifact cannot be served at a
+        different width.
         """
         embedding = artifact.serving_embedding()
         if isinstance(embedding, QuantizedEmbedding) and config.bits not in (
@@ -317,8 +351,12 @@ class InferenceEngine:
         if form.pooled:
             self._embed_pooled, self._embed_rows = self._embed_rows, None
         self._rows_scratch = _RowScratch(self.embedding_dim)
+        if cache_rows is not None and cache_rows <= 0:
+            raise ValueError(f"cache capacity must be positive, got {cache_rows}")
         self.cache: LRUCache | None = None
-        if cache_rows is not None and self._embed_rows is not None:
+        #: why the requested hot-row cache was not built (``None`` otherwise)
+        self.cache_declined = None if cache_rows is None else _cache_declined(form, bits)
+        if cache_rows is not None and self.cache_declined is None:
             if self._qemb is not None:
                 self.cache = QuantizedRowCache(
                     cache_rows,
@@ -473,7 +511,11 @@ class InferenceEngine:
         return self.predict(np.atleast_1d(ids)[None, :])[0]
 
     def __repr__(self) -> str:
-        cache = f", cache={self.cache.capacity} rows" if self.cache else ""
+        cache = (
+            f", cache={self.cache.capacity} rows" if self.cache
+            else f", cache declined: {self.cache_declined}" if self.cache_declined
+            else ""
+        )
         quant = f", int{self.bits}" if self.bits != 32 else ""
         return (
             f"InferenceEngine({self.model_name}, L={self.input_length}, "

@@ -98,7 +98,10 @@ class _InFlight:
     def __init__(self, req_id: int, worker_id: int, ids: np.ndarray) -> None:
         self.req_id = req_id
         self.worker_id = worker_id
-        self.ids = ids
+        # Its own copy: the caller's rows (a batcher's staging array) are
+        # reused once the batch completes, while a resend may still sit
+        # unpickled in a request queue.
+        self.ids = ids.copy()
         self.attempt = 1
         self.deadline: float | None = None  # None while waiting out a backoff
         self.resend_at: float | None = None

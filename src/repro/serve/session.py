@@ -55,7 +55,9 @@ class ServeConfig:
         ``None`` uses per-row absmax.
     cache_rows:
         LRU hot-row cache capacity (composed rows / code rows).  ``None``
-        disables caching.
+        disables caching.  The engine builds the cache only on plans whose
+        rows cost more to compose than a hit; elsewhere it declines it and
+        ``stats()`` reports ``cache_declined`` with the reason.
     cache_min_count:
         Admission threshold: an id enters the cache only on its k-th missed
         insert attempt.
@@ -373,6 +375,8 @@ class ServeSession:
             out.update(self.runtime.qos.snapshot())
             out["workers"] = self.runtime.n_workers
             out["workers_degraded"] = self.runtime.stats()["workers_degraded"]
+        if engine.cache_declined is not None:
+            out["cache_declined"] = engine.cache_declined
         if cache is not None:
             out.update(
                 cache_capacity=cache.capacity,

@@ -193,6 +193,13 @@ class _PhaseAccumulator:
         )
 
 
+def _plus(counts: tuple[int, int], cache) -> tuple[int, int]:
+    """``counts`` plus ``cache``'s ``(hits, misses)``; no cache adds none."""
+    if cache is None:
+        return counts
+    return counts[0] + cache.hits, counts[1] + cache.misses
+
+
 def _settle(deferred: list, total: _PhaseAccumulator) -> None:
     """Fold resolved requests into checksums and latency books, in stream
     order.  Every request must have a result by now — a ``None`` means the
@@ -247,7 +254,8 @@ def replay(
         raise ValueError("swap_path requires swap_step")
     # A runtime's caches live in its replica workers, whose counters are not
     # reported; the parent engine's cache sees only degraded fallbacks.
-    cache = session.engine.cache if session.runtime is None else None
+    runtime = session.runtime is not None
+    retired = (0, 0)  # final (hits, misses) of the cache the hot swap retired
     deadline = getattr(session.batcher, "max_delay_ms", None) is not None
     sha = hashlib.sha256()
     split = (hashlib.sha256(), hashlib.sha256()) if swap_step is not None else None
@@ -261,14 +269,17 @@ def replay(
         if swap_path is not None and step_index == swap_step and not swapped:
             # Drains everything in flight against the old plan, then adopts
             # the new artifact — deferred books settle afterwards, in order.
+            old_cache = None if runtime else session.engine.cache
             session.hot_swap(swap_path)
+            retired = _plus(retired, old_cache)
             swapped = True
         if step.requests.shape[0] == 0:
             continue
         acc = last_acc = accs[step.phase]
+        counts = _plus(retired, None if runtime else session.engine.cache)
         for a in (acc, total):
-            if cache is not None and a.batches == 0:
-                a.hits0, a.misses0 = cache.hits, cache.misses
+            if a.batches == 0:
+                a.hits0, a.misses0 = counts
         start = time.perf_counter()
         pending = [session.submit(ids) for ids in step.requests]
         if not deadline:
@@ -282,12 +293,12 @@ def replay(
         deferred.append(
             (acc, hashers, np.ascontiguousarray(step.requests).tobytes(), pending)
         )
+        counts = _plus(retired, None if runtime else session.engine.cache)
         for a in (acc, total):
             a.batches += 1
             a.elapsed_s += elapsed
             a.users.update(step.users.tolist())
-            if cache is not None:
-                a.hits1, a.misses1 = cache.hits, cache.misses
+            a.hits1, a.misses1 = counts
         if not deadline:
             _settle(deferred, total)
 

@@ -82,6 +82,25 @@ class TestFrontDoors:
             assert stats["latency_ms_p99"] > 0.0
             assert stats["requests_served"] == 2 * len(ids)
 
+    def test_queued_ids_are_the_flights_own_copy(self, artifact_for):
+        """The request queue pickles a message later, on its feeder thread,
+        and a resend may still sit there after a late first answer lets the
+        batcher reuse its staging rows: the queued ids must not be them."""
+        with ServeSession.load(artifact_for(), workers=1, retry=FAST_RETRY) as session:
+            request_q = session.runtime._workers[0].request_q
+            sent, put = [], request_q.put
+            request_q.put = lambda msg: (sent.append(msg), put(msg))
+            first = _traffic(4, seed=2)
+            for row in first:
+                session.submit(row)
+            session.flush()
+            for row in _traffic(4, seed=3):
+                session.submit(row)
+            [(kind, _, _, ids)] = sent
+            assert kind == "predict"
+            assert not np.shares_memory(ids, session.batcher._staged)
+            np.testing.assert_array_equal(ids, first)
+
     def test_session_from_model_refuses_workers(self):
         with pytest.raises(ValueError, match="on-disk artifact"):
             ServeSession.from_model(build_model("memcom"), workers=2)

@@ -18,13 +18,23 @@ from repro.serve.engine import InferenceEngine
 
 V, L, E, C = 300, 6, 16, 10
 
+HYPER = {"memcom": {"num_hash_embeddings": 32}, "tt_rec": {"tt_rank": 4}}
 
-def _engine(cache_rows=None, input_length=L, seed=0):
+
+def _engine(cache_rows=None, input_length=L, seed=0, technique="memcom"):
     model = build_pointwise_ranker(
-        "memcom", V, C, input_length=input_length, embedding_dim=E,
-        num_hash_embeddings=32, rng=seed,
+        technique, V, C, input_length=input_length, embedding_dim=E, rng=seed,
+        **HYPER[technique],
     )
     return InferenceEngine(model, cache_rows=cache_rows), model
+
+
+def _cached_engine(cache_rows):
+    """A TT-Rec FP32 engine: its contraction keeps the requested cache
+    (MEmCom FP32 declines it)."""
+    engine, model = _engine(cache_rows, technique="tt_rec")
+    assert engine.cache is not None
+    return engine, model
 
 
 class TestBatcherCoalescing:
@@ -97,7 +107,7 @@ class TestBatcherCoalescing:
     def test_rejects_non_integer_ids_at_submit(self):
         """In range but not integers: a float row would fail its whole
         flush, and bools would index the cache's id map as a mask."""
-        engine, _ = _engine(cache_rows=64)
+        engine, _ = _cached_engine(cache_rows=64)
         batcher = Batcher(engine)
         valid = batcher.submit(np.arange(L, dtype=np.int64))
         for bad in (np.full(L, 1.5), np.ones(L, dtype=bool)):
@@ -199,8 +209,8 @@ class TestBatcherCoalescing:
         assert batcher.auto_flushes == 1 and len(batcher) == 0
 
     def test_cached_engine_through_batcher_matches_uncached(self):
-        cached, _ = _engine(cache_rows=64)
-        uncached, _ = _engine()
+        cached, _ = _cached_engine(cache_rows=64)
+        uncached, _ = _engine(technique="tt_rec")
         rng = np.random.default_rng(1)
         requests = [rng.integers(0, V, size=L) for _ in range(40)]
         got = Batcher(cached, max_batch=8).serve(requests)
@@ -212,7 +222,7 @@ class TestBatcherCoalescing:
 class TestCacheHitPathBitIdentical:
     def test_hit_equals_miss_bytes(self):
         """Same batch twice: first pass all misses, second all hits."""
-        engine, _ = _engine(cache_rows=V)
+        engine, _ = _cached_engine(cache_rows=V)
         x = np.random.default_rng(2).integers(0, V, size=(9, L))
         first = engine.predict(x)
         assert engine.cache.misses > 0 and engine.cache.hits >= 0
@@ -222,7 +232,7 @@ class TestCacheHitPathBitIdentical:
 
     def test_cached_equals_eager_across_evicting_traffic(self):
         """Tiny cache forces constant eviction/drops; results must not drift."""
-        engine, model = _engine(cache_rows=7)
+        engine, model = _cached_engine(cache_rows=7)
         model.eval()
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -234,7 +244,7 @@ class TestCacheHitPathBitIdentical:
     def test_hit_rate_rises_on_zipf_traffic(self):
         from repro.data.zipf import ZipfSampler
 
-        engine, _ = _engine(cache_rows=128)
+        engine, _ = _cached_engine(cache_rows=128)
         requests = ZipfSampler(V, 1.1).sample(0, (512, L))
         for start in range(0, 512, 32):
             engine.predict(requests[start : start + 32])

@@ -100,19 +100,23 @@ class TestAdmission:
         assert cache.insert(np.array([1]), _rows([1]))[0] == -1  # count restarted
 
 
+def _build(technique):
+    """A plan that keeps its cache: TT-Rec at FP32, MEmCom when quantized."""
+    hyper = {"tt_rec": {"tt_rank": 4}, "memcom": {"num_hash_embeddings": 32}}
+    return build_pointwise_ranker(
+        technique, 250, 12, input_length=8, embedding_dim=16, rng=3,
+        **hyper[technique],
+    )
+
+
 class TestEngineWithAdmission:
     @pytest.mark.parametrize("bits", [None, 8])
     def test_served_values_unchanged(self, bits):
-        def build():
-            return build_pointwise_ranker(
-                "memcom", 250, 12, input_length=8, embedding_dim=16, rng=3,
-                num_hash_embeddings=32,
-            )
-
+        technique = "tt_rec" if bits is None else "memcom"
         ids = np.random.default_rng(1).integers(0, 250, (64, 8))
-        plain = InferenceEngine(build(), bits=bits)
+        plain = InferenceEngine(_build(technique), bits=bits)
         admitted = InferenceEngine(
-            build(), bits=bits, cache_rows=64, cache_min_count=2
+            _build(technique), bits=bits, cache_rows=64, cache_min_count=2
         )
         first = admitted.predict(ids).copy()
         np.testing.assert_array_equal(first, plain.predict(ids))
@@ -233,16 +237,10 @@ class TestAdmissionTTL:
         assert attempts_until_admitted(decayed, head_a) >= 2
 
     def test_decay_never_changes_served_values(self):
-        def build():
-            return build_pointwise_ranker(
-                "memcom", 250, 12, input_length=8, embedding_dim=16, rng=3,
-                num_hash_embeddings=32,
-            )
-
         rng = np.random.default_rng(5)
-        plain = InferenceEngine(build())
+        plain = InferenceEngine(_build("tt_rec"))
         decaying = InferenceEngine(
-            build(), cache_rows=32, cache_min_count=2, cache_ttl=2
+            _build("tt_rec"), cache_rows=32, cache_min_count=2, cache_ttl=2
         )
         for _ in range(8):  # several decay windows under shifting traffic
             ids = rng.integers(0, 250, (16, 8))

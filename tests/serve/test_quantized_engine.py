@@ -83,7 +83,11 @@ class TestQuantizedMatchesDequantizedReference:
             first = cached.predict(ids).copy()
             np.testing.assert_array_equal(first, cached.predict(ids))
             np.testing.assert_array_equal(first, plain.predict(ids))
-            assert cached.cache.hits > 0
+            if technique in ("full", "hash", "reduce_dim", "truncate_rare"):
+                # one gather of stored codes: the engine declines the cache
+                assert cached.cache is None and "one gather" in cached.cache_declined
+            else:
+                assert cached.cache.hits > 0
 
     def test_predict_one_matches_batched(self):
         ids = _requests(5)

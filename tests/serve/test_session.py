@@ -15,6 +15,13 @@ def _model(seed=0):
     )
 
 
+def _tt_model():
+    """TT-Rec: its FP32 plan keeps a requested cache (MEmCom's declines)."""
+    return build_pointwise_ranker(
+        "tt_rec", 400, 10, input_length=5, embedding_dim=16, rng=0, tt_rank=4
+    )
+
+
 def _ids(n=24, seed=3):
     return np.random.default_rng(seed).integers(0, 400, size=(n, 5))
 
@@ -64,7 +71,7 @@ class TestFromModel:
 
     def test_config_reaches_cache_and_batcher(self):
         session = ServeSession.from_model(
-            _model(),
+            _tt_model(),
             ServeConfig(
                 cache_rows=32, cache_min_count=2, cache_ttl_batches=7, max_batch=9
             ),
@@ -90,7 +97,7 @@ class TestFromModel:
         assert len(session.batcher) == 0
 
     def test_stats_reports_the_full_picture(self):
-        session = ServeSession.from_model(_model(), ServeConfig(cache_rows=32))
+        session = ServeSession.from_model(_tt_model(), ServeConfig(cache_rows=32))
         session.predict(_ids())
         stats = session.stats()
         assert stats["requests_served"] == 24

@@ -305,6 +305,27 @@ class TestServeBenchChecksums:
         assert "'int8+cache'" in err and "Traceback" not in err
 
 
+class TestServeBenchDeclinedCache:
+    """A +cache row whose engine declined the cache says why."""
+
+    ARGS = ["serve-bench", "--vocab", "400", "--embedding-dim", "8",
+            "--input-length", "4", "--requests", "64", "--batch-size", "16",
+            "--cache-rows", "32"]
+
+    def test_memcom_prints_the_reason(self, capsys):
+        assert main([*self.ARGS, "--technique", "memcom"]) == 0
+        out = capsys.readouterr().out
+        for label in ("monolithic+cache", "sharded x4+cache"):
+            assert f"{label}: cache declined: an FP32 row is gathers plus add/mul" in out
+
+    def test_tt_rec_still_prints_a_hit_rate(self, capsys):
+        assert main([*self.ARGS, "--technique", "tt_rec"]) == 0
+        out = capsys.readouterr().out
+        assert "declined" not in out
+        row = next(line for line in out.splitlines() if line.startswith("monolithic+cache"))
+        assert row.split("|")[6].strip().endswith("%")
+
+
 class TestServeBenchEveryTechnique:
     """The serving front doors take every registered technique."""
 

@@ -58,14 +58,24 @@ class TestDeadlineReplay:
             replay(session, TrafficModel(SPEC))
             assert session.batcher.auto_flushes > 0
 
-    def test_cached_deadline_replay_same_bytes(self, artifact):
-        with ServeSession.load(artifact) as session:
+    def test_cached_deadline_replay_same_bytes(self, tmp_path):
+        from repro.models.builder import build_pointwise_ranker
+
+        # TT-Rec keeps its cache at FP32 (the full-table fixture declines it).
+        model = build_pointwise_ranker(
+            "tt_rec", VOCAB, 12, input_length=L, embedding_dim=8, rng=0, tt_rank=2,
+        )
+        tt_rec = str(tmp_path / "tt.artifact")
+        save_artifact(model, tt_rec)
+        with ServeSession.load(tt_rec) as session:
             want = replay(session, TrafficModel(SPEC)).checksum
         config = ServeConfig(
             max_delay_ms=1.0, cache_rows=64, cache_min_count=1, max_batch=16
         )
-        with ServeSession.load(artifact, config) as session:
+        with ServeSession.load(tt_rec, config) as session:
+            assert session.engine.cache is not None
             got = replay(session, TrafficModel(SPEC))
+            assert session.engine.cache.hits > 0
         assert got.checksum == want
 
     def test_report_has_no_split_checksums_by_default(self, artifact):

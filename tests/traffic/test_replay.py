@@ -27,17 +27,22 @@ SPEC = TrafficSpec(
 )
 
 
-@pytest.fixture(scope="module")
-def artifact(tmp_path_factory):
+def _export(directory, technique="memcom", bits=32, seed=0):
     from repro.models.builder import build_pointwise_ranker
 
+    hyper = {"memcom": {"num_hash_embeddings": 128}, "tt_rec": {"tt_rank": 4}}
     model = build_pointwise_ranker(
-        "memcom", VOCAB, 20, input_length=L, embedding_dim=16,
-        num_hash_embeddings=128, rng=0,
+        technique, VOCAB, 20, input_length=L, embedding_dim=16, rng=seed,
+        **hyper[technique],
     )
-    path = str(tmp_path_factory.mktemp("traffic-replay") / "m.artifact")
-    save_artifact(model, path, bits=32)
+    path = str(directory / f"{technique}-{bits}-{seed}.artifact")
+    save_artifact(model, path, bits=bits)
     return path
+
+
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    return _export(tmp_path_factory.mktemp("traffic-replay"))
 
 
 def _session(artifact, workers=0, cache_rows=512):
@@ -67,16 +72,40 @@ class TestReplayReport:
             assert 0.0 < ph.p50_ms <= ph.p95_ms <= ph.p99_ms
             assert ph.rps > 0
 
-    def test_cached_session_reports_hit_rate_uncached_none(self, artifact):
-        with _session(artifact, cache_rows=512) as session:
+    def test_cached_session_reports_hit_rate_uncached_none(self, tmp_path):
+        # TT-Rec keeps its cache at FP32 (the memcom fixture declines it).
+        tt_rec = _export(tmp_path, "tt_rec")
+        with _session(tt_rec, cache_rows=512) as session:
+            assert session.engine.cache is not None
             cached = replay(session, TrafficModel(SPEC))
         assert cached.hit_rate is not None
         assert 0.0 < cached.hit_rate < 1.0
-        with _session(artifact, cache_rows=0) as session:
+        with _session(tt_rec, cache_rows=0) as session:
             uncached = replay(session, TrafficModel(SPEC))
         assert uncached.hit_rate is None
         # Results are the same bytes either way: the cache is transparent.
         assert cached.checksum == uncached.checksum
+
+    def test_declined_cache_reports_no_hit_rate(self, artifact):
+        with _session(artifact, cache_rows=512) as session:
+            assert session.engine.cache is None  # memcom FP32 declines it
+            assert replay(session, TrafficModel(SPEC)).hit_rate is None
+
+    def test_hit_rates_follow_a_hot_swapped_cache(self, tmp_path):
+        old = _export(tmp_path, "tt_rec", bits=8, seed=0)
+        new = _export(tmp_path, "tt_rec", bits=8, seed=1)
+        spec = replace(SPEC, num_phases=2)  # phase 1 serves on the new plan
+        with _session(old, cache_rows=256) as session:
+            retired = session.engine.cache
+            report = replay(
+                session, TrafficModel(spec), swap_path=new,
+                swap_step=spec.steps_per_phase,
+            )
+            current = session.engine.cache
+        assert current is not retired and current.hits > 0
+        assert report.phases[1].hit_rate == current.hit_rate
+        hits = retired.hits + current.hits
+        assert report.hit_rate == hits / (hits + retired.misses + current.misses)
 
     def test_distinct_users_accumulate_from_million_user_space(self, artifact):
         with _session(artifact) as session:
