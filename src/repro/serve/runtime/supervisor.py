@@ -12,12 +12,12 @@ same bytes, just in another address space.
 The :class:`Supervisor` half owns the failure model (DESIGN.md §10):
 
 * **Detection** — three independent tripwires: a dead process
-  (``is_alive``), a per-attempt response deadline
+  (pipe EOF or ``is_alive``), a per-attempt response deadline
   (:class:`~repro.serve.runtime.retry.RetryPolicy`), and a CRC-32 check on
   every score payload.  Idle failures are caught by heartbeat sweeps in
   :meth:`ServingRuntime.check_health`.
 * **Recovery** — a dead or overdue worker is respawned *from the
-  artifact* (the durable source of truth) with fresh queues, and
+  artifact* (the durable source of truth) with a fresh pipe, and
   the batch is resent to it after a bounded, jittered backoff; answers
   from superseded attempts of the same batch are adopted if intact (the
   scores are deterministic, any attempt's correct answer is *the* answer).
@@ -36,8 +36,9 @@ counters", proven by the chaos matrix in ``tests/serve/runtime``.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
+import select
 import time
+import zlib
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +48,17 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.runtime.faults import FaultSpec
 from repro.serve.runtime.qos import QoSStats
 from repro.serve.runtime.retry import RetryPolicy
-from repro.serve.runtime.worker import payload_crc, worker_main
+from repro.serve.runtime.worker import (
+    PREDICT,
+    PREDICT_HEADER,
+    READY,
+    SCORES,
+    SCORES_HEADER,
+    SPAWN_FAILED,
+    STOP,
+    worker_main,
+    write_frame,
+)
 
 if TYPE_CHECKING:
     from repro.serve.session import ServeConfig
@@ -62,33 +73,44 @@ def _mp_context():
 
 
 class _WorkerHandle:
-    """One supervised replica worker: process + queues + health state.
+    """One supervised replica worker: process + pipe + health state.
 
-    Each worker has its own response queue as well as its own request
-    queue.  A killed process can die holding its queue's write lock or
-    halfway through a message; both die with the queues it is respawned
-    without, and no other worker shares them.
+    Each worker has its own duplex pipe, held by the parent as ``conn``
+    (``None`` once closed).  A killed process can die halfway through a
+    frame; the half frame dies with the pipe it is respawned without, and
+    no other worker shares it.
     """
 
     __slots__ = (
-        "id", "process", "request_q", "response_q", "fault", "ready",
-        "degraded", "spawn_failed", "last_seen",
+        "id", "process", "conn", "incoming", "fault", "ready", "degraded",
+        "spawn_failed", "last_seen", "cache_counts",
     )
 
     def __init__(self, worker_id: int, fault: FaultSpec | None) -> None:
         self.id = worker_id
         self.process = None
-        self.request_q = None
-        self.response_q = None
+        self.conn = None
+        self.incoming = None  # a poll object over ``conn``
         self.fault = fault
         self.ready = False
         self.degraded = False
-        self.spawn_failed = False
+        self.spawn_failed: str | None = None  # the worker's load error
         self.last_seen = 0.0
+        self.cache_counts = (0, 0)  # its cache's (hits, misses), last answer
+
+    @property
+    def alive(self) -> bool:
+        """Pipe open and process running: EOF shows a death before
+        ``waitpid`` does."""
+        return self.conn is not None and self.process.is_alive()
 
 
 class _InFlight:
-    """The outstanding batch: which worker, which attempt, and its answer."""
+    """The outstanding batch: which worker, which attempt, and its answer.
+
+    ``ids`` are the caller's int64 rows, not a copy: every attempt writes
+    them whole before ``predict`` returns, so nothing reads them after.
+    """
 
     __slots__ = (
         "req_id", "worker_id", "ids", "attempt", "deadline", "resend_at",
@@ -98,10 +120,7 @@ class _InFlight:
     def __init__(self, req_id: int, worker_id: int, ids: np.ndarray) -> None:
         self.req_id = req_id
         self.worker_id = worker_id
-        # Its own copy: the caller's rows (a batcher's staging array) are
-        # reused once the batch completes, while a resend may still sit
-        # unpickled in a request queue.
-        self.ids = ids.copy()
+        self.ids = ids
         self.attempt = 1
         self.deadline: float | None = None  # None while waiting out a backoff
         self.resend_at: float | None = None
@@ -128,6 +147,8 @@ class Supervisor:
         self._faults_persist = faults_persist
         self._qos = qos
         self._ctx = _mp_context()
+        #: final cache counts of every worker a respawn replaced
+        self.retired_cache_counts = (0, 0)
         faults = faults or {}
         for spec in faults.values():
             spec.validate()
@@ -140,35 +161,37 @@ class Supervisor:
     # -- lifecycle -------------------------------------------------------------
 
     def _spawn(self, w: _WorkerHandle, fault: FaultSpec | None) -> None:
-        w.request_q = self._ctx.Queue()
-        w.response_q = self._ctx.Queue()
+        w.conn, child = self._ctx.Pipe()
+        w.incoming = select.poll()
+        w.incoming.register(w.conn.fileno(), select.POLLIN)
         w.ready = False
-        w.spawn_failed = False
+        w.spawn_failed = None
         w.last_seen = time.monotonic()
+        w.cache_counts = (0, 0)
         w.process = self._ctx.Process(
             target=worker_main,
-            args=(
-                w.id, self.artifact_path, self._config, w.request_q,
-                w.response_q, fault, self._hb_interval,
-            ),
+            args=(self.artifact_path, self._config, child, fault, self._hb_interval),
             name=f"repro-replica-{w.id}",
             daemon=True,
         )
         w.process.start()
+        # The worker holds its end now, so its exit is the parent's EOF.
+        child.close()
 
     def respawn(self, w: _WorkerHandle) -> None:
         """Replace a dead/wedged worker with a fresh one from the artifact.
 
-        The old queues are discarded with the old process, so stale queued
-        messages can never replay against the replacement.  Injected
-        faults are not re-armed unless ``faults_persist`` — a crash is an
-        event, not a property of the respawned process.
+        The old pipe is closed with the old process, so stale frames can
+        never replay against the replacement.  Injected faults are not
+        re-armed unless ``faults_persist`` — a crash is an event, not a
+        property of the respawned process.
         """
         self._qos.respawns += 1
-        if w.process.is_alive():
-            w.process.terminate()
-        w.process.join(timeout=5.0)
-        self._discard_queues(w)
+        self._stop(w)
+        hits, misses = self.retired_cache_counts
+        self.retired_cache_counts = (
+            hits + w.cache_counts[0], misses + w.cache_counts[1]
+        )
         self._spawn(w, fault=w.fault if self._faults_persist else None)
 
     def degrade(self, w: _WorkerHandle) -> None:
@@ -177,41 +200,30 @@ class Supervisor:
             return
         w.degraded = True
         self._qos.degraded_workers += 1
-        if w.process is not None and w.process.is_alive():
-            w.process.terminate()
-            w.process.join(timeout=2.0)
+        self._stop(w)
 
     @property
     def all_degraded(self) -> bool:
         return all(w.degraded for w in self.workers)
 
     @staticmethod
-    def _discard_queues(w: _WorkerHandle) -> None:
-        for q in (w.request_q, w.response_q):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):  # already closed / broken pipe
-                pass
+    def _stop(w: _WorkerHandle) -> None:
+        """Kill ``w``'s process (stopped or not) and close its pipe."""
+        if w.process.is_alive():
+            w.process.kill()
+        w.process.join(timeout=5.0)
+        if w.conn is not None:
+            w.conn.close()
+            w.conn = None
 
     def close(self) -> None:
-        for w in self.workers:
-            if w.process is not None and w.process.is_alive():
-                try:
-                    w.request_q.put(("stop",))
-                except (OSError, ValueError):
-                    pass
         deadline = time.monotonic() + 2.0
         for w in self.workers:
-            if w.process is None:
-                continue
-            w.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if w.process.is_alive():
-                w.process.terminate()
-                w.process.join(timeout=1.0)
+            if w.conn is not None:
+                write_frame(w.conn, deadline, bytes([STOP]))
         for w in self.workers:
-            if w.request_q is not None:
-                self._discard_queues(w)
+            w.process.join(timeout=max(0.1, deadline - time.monotonic()))
+            self._stop(w)
 
 
 class ServingRuntime:
@@ -337,10 +349,11 @@ class ServingRuntime:
                 for w in waiting[1:]:
                     self._receive(w, None)
                 for w in self._workers:
-                    if w.spawn_failed or (not w.ready and not w.process.is_alive()):
+                    if w.spawn_failed or not (w.ready or w.alive):
                         raise RuntimeError(
                             f"serving runtime: worker {w.id} failed to start "
                             f"from {self.artifact_path!r}"
+                            + (f": {w.spawn_failed}" if w.spawn_failed else "")
                         )
         except BaseException:
             self.close()
@@ -364,7 +377,9 @@ class ServingRuntime:
             out = self._engine.predict(ids)
         else:
             self._seq += 1
-            flight = _InFlight(self._seq, w.id, ids)
+            flight = _InFlight(
+                self._seq, w.id, np.ascontiguousarray(ids, dtype=np.int64)
+            )
             self._send(flight)
             while flight.scores is None:
                 self._pump(flight)
@@ -395,7 +410,10 @@ class ServingRuntime:
         flight.deadline = time.monotonic() + self.retry.deadline_s(
             fresh_worker=not w.ready
         )
-        w.request_q.put(("predict", flight.req_id, flight.attempt, flight.ids))
+        header = PREDICT_HEADER.pack(
+            PREDICT, flight.req_id, flight.attempt, flight.ids.shape[0]
+        )
+        write_frame(w.conn, flight.deadline, header, flight.ids)
 
     def _pump(self, flight: _InFlight) -> None:
         w = self._workers[flight.worker_id]
@@ -407,51 +425,56 @@ class ServingRuntime:
         now = time.monotonic()
         if w.degraded:
             self._serve_locally(flight)
+        elif not w.alive:
+            self._attempt_failed(flight, cause="death")
         elif flight.deadline is None:
             if now >= flight.resend_at:
                 self._send(flight)
-        elif not w.process.is_alive():
-            self._attempt_failed(flight, cause="death")
         elif now >= flight.deadline:
             self._attempt_failed(flight, cause="timeout")
 
     def _receive(
         self, w: _WorkerHandle, flight: _InFlight | None, timeout: float = 0.0
     ) -> None:
-        """Dispatch every message ``w`` has sent, waiting up to ``timeout``
-        seconds for the first one."""
-        try:
-            while True:
-                # Re-read the handle: a dispatch can respawn ``w`` onto
-                # fresh queues.
-                self._dispatch(w.response_q.get(timeout=timeout), flight)
-                timeout = 0.0
-        except queue.Empty:
-            pass
+        """Dispatch every frame ``w`` has sent, waiting up to ``timeout``
+        seconds for the first one; close its pipe at EOF."""
+        while w.conn is not None and w.incoming.poll(1e3 * timeout):
+            timeout = 0.0
+            try:
+                frame = w.conn.recv_bytes()
+            except (EOFError, OSError):  # the worker exited, perhaps mid-frame
+                w.conn.close()
+                w.conn = None
+                return
+            self._dispatch(w, frame, flight)  # may degrade ``w``: pipe closed
 
-    def _dispatch(self, msg, flight: _InFlight | None) -> None:
-        kind, worker_id = msg[0], msg[1]
-        w = self._workers[worker_id]
+    def _dispatch(
+        self, w: _WorkerHandle, frame: bytes, flight: _InFlight | None
+    ) -> None:
         w.last_seen = time.monotonic()
-        if kind == "ready":
+        kind = frame[0]
+        if kind == READY:
             w.ready = True
             return
-        if kind == "spawn-failed":
+        if kind == SPAWN_FAILED:
             # The respawn source is rotten (e.g. artifact corrupted on
             # disk): stop respawning; the parent's engine serves instead.
-            w.spawn_failed = True
+            w.spawn_failed = frame[1:].decode(errors="replace")
             self.supervisor.degrade(w)
             return
-        if kind != "scores" or flight is None or msg[2] != flight.req_id:
-            return  # a heartbeat, or an answer to a batch already served
-        if flight.scores is not None:
-            return  # superseded: the batch already completed another way
-        _, _, _, attempt, scores, crc = msg
-        scores = np.asarray(scores)
+        if kind != SCORES:
+            return  # a heartbeat
+        _, req_id, attempt, rows, cols, crc, hits, misses = (
+            SCORES_HEADER.unpack_from(frame)
+        )
+        w.cache_counts = (hits, misses)
+        if flight is None or req_id != flight.req_id or flight.scores is not None:
+            return  # an answer to a batch already served
+        payload = memoryview(frame)[SCORES_HEADER.size:]
         intact = (
-            scores.dtype == np.float32
-            and scores.shape[:1] == flight.ids.shape[:1]
-            and payload_crc(scores) == crc
+            rows == flight.ids.shape[0]
+            and payload.nbytes == 4 * rows * cols
+            and zlib.crc32(payload) == crc
         )
         if not intact:
             self.qos.corrupt_payloads += 1
@@ -459,8 +482,9 @@ class ServingRuntime:
                 self._attempt_failed(flight, cause="corrupt")
             return  # a stale attempt's damage is already being retried
         # Any intact answer is *the* answer (scores are deterministic), so
-        # late responses from earlier attempts are adopted, not wasted.
-        flight.scores = scores
+        # late responses from earlier attempts are adopted, not wasted.  The
+        # copy is the caller's to keep: nothing else holds its memory.
+        flight.scores = np.frombuffer(payload, np.float32).reshape(rows, cols).copy()
         if flight.failed_at is not None:
             self.qos.record_recovery(1e3 * (time.monotonic() - flight.failed_at))
 
@@ -506,14 +530,13 @@ class ServingRuntime:
         callers can see what the sweep found.
         """
         for w in self._workers:
-            if not w.degraded:
-                self._receive(w, None)
+            self._receive(w, None)
         now = time.monotonic()
         respawned, silent = 0, 0
         for w in self._workers:
             if w.degraded:
                 continue
-            if not w.process.is_alive():
+            if not w.alive:
                 # Died while idle — no request tripped over it, the
                 # heartbeat sweep did.
                 self.qos.worker_deaths += 1
@@ -524,9 +547,7 @@ class ServingRuntime:
                 silent += 1
         return {
             "workers": self.n_workers,
-            "alive": sum(
-                1 for w in self._workers if not w.degraded and w.process.is_alive()
-            ),
+            "alive": sum(1 for w in self._workers if not w.degraded and w.alive),
             "degraded": sum(1 for w in self._workers if w.degraded),
             "respawned": respawned,
             "silent": silent,
@@ -558,11 +579,23 @@ class ServingRuntime:
             # on the *old* artifact/process, and the new generation starts
             # from a fresh respawn source.
             w.degraded = False
-            w.spawn_failed = False
             self.supervisor.respawn(w)
         self._wait_until_ready(timeout_s)
 
     # -- accounting / lifecycle -------------------------------------------------
+
+    def cache_counts(self) -> tuple[int, int]:
+        """Cumulative ``(hits, misses)`` of the replicas' hot-row caches.
+
+        Each answer frame carries its worker's running counts; this sums
+        the latest of every worker with the final counts of the workers
+        that respawns and hot swaps replaced.  ``(0, 0)`` when the plan
+        declines the cache.
+        """
+        hits, misses = self.supervisor.retired_cache_counts
+        for w in self._workers:
+            hits, misses = hits + w.cache_counts[0], misses + w.cache_counts[1]
+        return hits, misses
 
     def stats(self) -> dict:
         out = {
@@ -581,7 +614,7 @@ class ServingRuntime:
         return out
 
     def close(self) -> None:
-        """Stop every worker and release the queues (idempotent)."""
+        """Stop every worker and close its pipe (idempotent)."""
         if self._closed:
             return
         self._closed = True

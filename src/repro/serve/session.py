@@ -188,6 +188,8 @@ class ServeSession:
         self.artifact = artifact
         #: completed hot_swap() calls (the deployment plane's generation counter)
         self.swaps = 0
+        #: final cache counts of the engines hot swaps replaced (no workers)
+        self._swapped_cache_counts = (0, 0)
 
     @property
     def _predictor(self):
@@ -308,6 +310,8 @@ class ServeSession:
         self.batcher.flush()  # drain in-flight against the outgoing plan
         if self.runtime is not None:
             self.runtime.hot_swap(artifact.path, engine)
+        else:
+            self._swapped_cache_counts = self.cache_counts()
         self.engine = engine
         self.batcher.engine = self._predictor
         self.artifact = artifact
@@ -353,6 +357,21 @@ class ServeSession:
     def bits(self) -> int:
         return self.engine.bits
 
+    def cache_counts(self) -> tuple[int, int]:
+        """Cumulative ``(hits, misses)`` of the hot-row caches that served
+        this session's batches, hot swaps included; ``(0, 0)`` uncached.
+
+        With workers these are the replicas' caches, summed by the runtime:
+        the parent engine's cache sees only degraded fallbacks.
+        """
+        if self.runtime is not None:
+            return self.runtime.cache_counts()
+        hits, misses = self._swapped_cache_counts
+        cache = self.engine.cache
+        if cache is not None:
+            hits, misses = hits + cache.hits, misses + cache.misses
+        return hits, misses
+
     def stats(self) -> dict:
         """One dict with the counters the old entry points each half-reported."""
         engine, cache = self.engine, self.engine.cache
@@ -377,7 +396,14 @@ class ServeSession:
             out["workers_degraded"] = self.runtime.stats()["workers_degraded"]
         if engine.cache_declined is not None:
             out["cache_declined"] = engine.cache_declined
-        if cache is not None:
+        if cache is not None and self.runtime is not None:
+            # The replicas' caches serve; their other counters stay with them.
+            hits, misses = self.runtime.cache_counts()
+            out.update(
+                cache_capacity=cache.capacity,
+                cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+            )
+        elif cache is not None:
             out.update(
                 cache_capacity=cache.capacity,
                 cache_hit_rate=cache.hit_rate,

@@ -193,13 +193,6 @@ class _PhaseAccumulator:
         )
 
 
-def _plus(counts: tuple[int, int], cache) -> tuple[int, int]:
-    """``counts`` plus ``cache``'s ``(hits, misses)``; no cache adds none."""
-    if cache is None:
-        return counts
-    return counts[0] + cache.hits, counts[1] + cache.misses
-
-
 def _settle(deferred: list, total: _PhaseAccumulator) -> None:
     """Fold resolved requests into checksums and latency books, in stream
     order.  Every request must have a result by now — a ``None`` means the
@@ -252,10 +245,6 @@ def replay(
     """
     if swap_path is not None and swap_step is None:
         raise ValueError("swap_path requires swap_step")
-    # A runtime's caches live in its replica workers, whose counters are not
-    # reported; the parent engine's cache sees only degraded fallbacks.
-    runtime = session.runtime is not None
-    retired = (0, 0)  # final (hits, misses) of the cache the hot swap retired
     deadline = getattr(session.batcher, "max_delay_ms", None) is not None
     sha = hashlib.sha256()
     split = (hashlib.sha256(), hashlib.sha256()) if swap_step is not None else None
@@ -269,14 +258,12 @@ def replay(
         if swap_path is not None and step_index == swap_step and not swapped:
             # Drains everything in flight against the old plan, then adopts
             # the new artifact — deferred books settle afterwards, in order.
-            old_cache = None if runtime else session.engine.cache
             session.hot_swap(swap_path)
-            retired = _plus(retired, old_cache)
             swapped = True
         if step.requests.shape[0] == 0:
             continue
         acc = last_acc = accs[step.phase]
-        counts = _plus(retired, None if runtime else session.engine.cache)
+        counts = session.cache_counts()
         for a in (acc, total):
             if a.batches == 0:
                 a.hits0, a.misses0 = counts
@@ -293,7 +280,7 @@ def replay(
         deferred.append(
             (acc, hashers, np.ascontiguousarray(step.requests).tobytes(), pending)
         )
-        counts = _plus(retired, None if runtime else session.engine.cache)
+        counts = session.cache_counts()
         for a in (acc, total):
             a.batches += 1
             a.elapsed_s += elapsed

@@ -30,6 +30,11 @@ FAST_RETRY = RetryPolicy(
 
 VOCAB, ITEMS, LENGTH, DIM = 600, 7, 4, 16
 
+#: a batch whose ids frame (LENGTH int64 ids a row) is 1 MiB, far past
+#: what a pipe or socket buffers: a write of it finishes only while the
+#: replica reads
+OVERSIZE_ROWS = (1 << 20) // (8 * LENGTH)
+
 _HYPER = {
     "memcom": {"num_hash_embeddings": 64},
     "full": {},

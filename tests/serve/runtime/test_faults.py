@@ -7,20 +7,20 @@ import pytest
 
 from repro.serve.runtime import CHAOS_SCENARIOS, run_chaos
 
-from .conftest import FAST_RETRY
+from .conftest import FAST_RETRY, OVERSIZE_ROWS
 
 #: acceptance matrix: {full, memcom, tt_rec} × {32, 8}-ish — 8-bit exercised
 #: on the technique whose artifact quantization is the paper's headline
 _MODELS = [("full", 32), ("memcom", 32), ("memcom", 8), ("tt_rec", 32)]
 
 
-def _run(artifact_for, scenario, technique, bits):
+def _run(artifact_for, scenario, technique, bits, batch_size=12):
     report = run_chaos(
         artifact_for(technique, bits),
         scenario,
         workers=2,
-        num_requests=48,
-        batch_size=12,
+        num_requests=4 * batch_size,
+        batch_size=batch_size,
         retry=FAST_RETRY,
         bits=None,  # the artifact is already stored at the target width
     )
@@ -29,10 +29,15 @@ def _run(artifact_for, scenario, technique, bits):
 
 
 class TestChaosMatrix:
+    # The oversize batch's frames outgrow the pipe buffer, so every send
+    # waits on the replica reading; after a kill, on one still loading.
+    @pytest.mark.parametrize("batch_size", [12, OVERSIZE_ROWS])
     @pytest.mark.parametrize("technique,bits", _MODELS)
     @pytest.mark.parametrize("scenario", ["kill", "delay", "corrupt-artifact"])
-    def test_recovers_bit_identical(self, artifact_for, scenario, technique, bits):
-        _run(artifact_for, scenario, technique, bits)
+    def test_recovers_bit_identical(
+        self, artifact_for, scenario, technique, bits, batch_size
+    ):
+        _run(artifact_for, scenario, technique, bits, batch_size)
 
     def test_corrupt_payload_is_caught_by_checksum(self, artifact_for):
         report = _run(artifact_for, "corrupt", "memcom", 32)

@@ -2,11 +2,15 @@
 answers — bit-identical to the single-process engine for every technique
 and width — and the session/batcher front doors drive it unchanged."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.data.zipf import ZipfSampler
 from repro.serve import Batcher, ServeConfig, ServeSession, ServingRuntime
-from repro.serve.runtime import RetryPolicy
+from repro.serve.runtime import RetryPolicy, supervisor
+from repro.serve.runtime.worker import PREDICT, PREDICT_HEADER, write_frame
 
 from .conftest import FAST_RETRY, LENGTH, VOCAB, build_model
 
@@ -82,24 +86,66 @@ class TestFrontDoors:
             assert stats["latency_ms_p99"] > 0.0
             assert stats["requests_served"] == 2 * len(ids)
 
-    def test_queued_ids_are_the_flights_own_copy(self, artifact_for):
-        """The request queue pickles a message later, on its feeder thread,
-        and a resend may still sit there after a late first answer lets the
-        batcher reuse its staging rows: the queued ids must not be them."""
+    def test_predict_frame_holds_the_batch_ids(self, artifact_for, monkeypatch):
+        """The ids go out whole inside ``predict``, so once ``flush`` returns
+        nothing holds the batcher's staging rows that a resend could read
+        after the next submits reuse them."""
+        sent = []
+
+        def record(conn, deadline, header, payload=b""):
+            if header[0] == PREDICT:
+                sent.append((bytes(header), bytes(payload), weakref.ref(payload)))
+            write_frame(conn, deadline, header, payload)
+
+        monkeypatch.setattr(supervisor, "write_frame", record)
         with ServeSession.load(artifact_for(), workers=1, retry=FAST_RETRY) as session:
-            request_q = session.runtime._workers[0].request_q
-            sent, put = [], request_q.put
-            request_q.put = lambda msg: (sent.append(msg), put(msg))
             first = _traffic(4, seed=2)
             for row in first:
                 session.submit(row)
             session.flush()
-            for row in _traffic(4, seed=3):
-                session.submit(row)
-            [(kind, _, _, ids)] = sent
-            assert kind == "predict"
-            assert not np.shares_memory(ids, session.batcher._staged)
-            np.testing.assert_array_equal(ids, first)
+            [(header, ids, rows)] = sent
+            assert rows() is None
+            _, _, attempt, n = PREDICT_HEADER.unpack(header)
+            assert (attempt, n) == (1, len(first))
+            np.testing.assert_array_equal(
+                np.frombuffer(ids, np.int64).reshape(first.shape), first
+            )
+
+    def test_answers_belong_to_the_caller(self, artifact_for):
+        """Answers are fresh writable float32 arrays, as ``engine.predict``
+        returns: a batch's results must not change when the next is served."""
+        path = artifact_for()
+        with ServeSession.load(path, workers=1, retry=FAST_RETRY) as session:
+            out = session.runtime.predict(_traffic(4))
+            assert out.dtype == np.float32
+            assert out.flags.writeable and out.flags.owndata
+            first = session.serve(list(_traffic(4, seed=2)))
+            kept = [row.copy() for row in first]
+            session.serve(list(_traffic(4, seed=3)))
+            for row, copy in zip(first, kept):
+                np.testing.assert_array_equal(row, copy)
+
+    def test_stats_report_the_replicas_cache(self, artifact_for):
+        """With workers the replicas' caches serve every batch; the parent's
+        sees only degraded fallbacks, so stats() must not report it."""
+        path = artifact_for("tt_rec", 32)  # keeps its cache at FP32
+        requests = ZipfSampler(VOCAB, 1.1).sample(0, (512, LENGTH))
+        config = ServeConfig(
+            workers=2, retry=FAST_RETRY, cache_rows=256, max_batch=32
+        )
+        with ServeSession.load(path, config) as session:
+            session.serve(list(requests))
+            hits, misses = session.cache_counts()
+            assert hits + misses == requests.size
+            assert session.stats()["cache_hit_rate"] == hits / requests.size > 0.0
+
+    def test_declined_cache_reports_no_hit_rate_with_workers(self, artifact_for):
+        config = ServeConfig(workers=2, retry=FAST_RETRY, cache_rows=256)
+        with ServeSession.load(artifact_for(), config) as session:
+            session.serve(list(_traffic(16)))
+            assert session.engine.cache is None  # memcom FP32 declines it
+            assert session.cache_counts() == (0, 0)
+            assert "cache_hit_rate" not in session.stats()
 
     def test_session_from_model_refuses_workers(self):
         with pytest.raises(ValueError, match="on-disk artifact"):
@@ -126,6 +172,14 @@ class TestLifecycleAndErrors:
         with pytest.raises(Exception):
             ServingRuntime(
                 str(tmp_path / "nope"), ServeConfig(workers=2, retry=FAST_RETRY)
+            )
+
+    def test_worker_load_error_is_reported_at_init(self, artifact_for, tmp_path):
+        engine = ServeSession.load(artifact_for()).engine
+        missing = str(tmp_path / "nope")
+        with pytest.raises(RuntimeError, match=r"failed to start from .*nope.*: \w+"):
+            ServingRuntime(
+                missing, ServeConfig(workers=2, retry=FAST_RETRY), engine=engine
             )
 
     @pytest.mark.parametrize("bad", [[1.5, 2, 3, 4], [True, False, True, True]])

@@ -2,14 +2,17 @@
 death, bounded retries with injected faults, and graceful degradation to
 the local fallback path — always with bit-identical answers."""
 
+import os
+import signal
 import time
 
 import numpy as np
+import pytest
 
 from repro.serve import ServeConfig, ServeSession, ServingRuntime
 from repro.serve.runtime import FaultSpec, RetryPolicy
 
-from .conftest import FAST_RETRY, LENGTH, VOCAB
+from .conftest import FAST_RETRY, LENGTH, OVERSIZE_ROWS, VOCAB
 
 
 def _traffic(n=24, seed=3):
@@ -64,10 +67,50 @@ class TestRespawn:
             assert runtime.qos.worker_deaths >= 1  # round-robin reached worker 1
             assert runtime.stats()["workers_degraded"] == 0
 
+    def test_deadline_bounds_a_frame_larger_than_the_pipe(self, artifact_for):
+        """A stopped replica never drains its pipe, so a blocking write of a
+        frame the pipe cannot buffer would never return: the attempt must
+        still time out, and the respawned replica answer bit-identically."""
+        path = artifact_for()
+        big = _traffic(OVERSIZE_ROWS)
+        expected = ServeSession.load(path).predict(big)
+        with ServingRuntime(path, ServeConfig(workers=1, retry=FAST_RETRY)) as runtime:
+            runtime.predict(_traffic(4))
+            victim = runtime.supervisor.workers[0].process
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                np.testing.assert_array_equal(runtime.predict(big), expected)
+            finally:
+                victim.kill()  # a no-op once the respawn has reaped it
+            stats = runtime.stats()
+            assert stats["timeouts"] >= 1 and stats["respawns"] >= 1
+            assert runtime.supervisor.workers[0].process is not victim
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_respawns_and_swaps_leak_no_descriptors(self, artifact_for):
+        """Each respawn closes the parent's end of the old pipe, and the
+        parent keeps no worker's end at all."""
+        path = artifact_for()
+        ids = _traffic(8)
+        engine = ServeSession.load(path).engine
+        with ServingRuntime(path, ServeConfig(workers=2, retry=FAST_RETRY)) as runtime:
+            runtime.predict(ids)
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(20):
+                runtime.hot_swap(path, engine, timeout_s=5.0)
+            for w in runtime.supervisor.workers:
+                w.process.kill()
+                w.process.join(timeout=5.0)
+            assert runtime.check_health()["respawned"] == 2
+            np.testing.assert_array_equal(runtime.predict(ids), engine.predict(ids))
+            assert len(os.listdir("/proc/self/fd")) == before
 
     def test_swap_right_after_a_reply_starts_every_new_worker(self, artifact_for):
-        """A worker killed after writing a reply but before releasing its
-        queue's write lock must not wedge the workers spawned after it."""
+        """A worker killed right after writing a reply must not wedge the
+        workers spawned after it: each respawn gets a fresh pipe, so
+        nothing the killed process held reaches its replacement."""
         path = artifact_for()
         ids = _traffic(8)
         engine = ServeSession.load(path).engine

@@ -86,6 +86,15 @@ class TestReplayReport:
         # Results are the same bytes either way: the cache is transparent.
         assert cached.checksum == uncached.checksum
 
+    def test_replicas_report_their_hit_rate(self, tmp_path):
+        # With workers the replicas' caches serve, not the parent engine's.
+        tt_rec = _export(tmp_path, "tt_rec")
+        with _session(tt_rec, workers=2, cache_rows=512) as session:
+            report = replay(session, TrafficModel(SPEC))
+            hits, misses = session.cache_counts()
+        assert hits > 0
+        assert report.hit_rate == hits / (hits + misses)
+
     def test_declined_cache_reports_no_hit_rate(self, artifact):
         with _session(artifact, cache_rows=512) as session:
             assert session.engine.cache is None  # memcom FP32 declines it
