@@ -14,6 +14,13 @@ hashed row of ``U`` still receive distinct embeddings — the network learns
 ``v`` distinct functions while storing ``m·e + v`` (``+ v``) parameters
 instead of ``v·e``.  The multiplication broadcasts a ``(…, 1)`` column
 against ``(…, e)`` rows, the "ubiquitous broadcasting operator" of §4.
+
+Training runs the whole composition as one autograd node,
+:func:`repro.nn.ops.memcom_lookup`.  ``V`` and ``W`` share the index ``i``
+and ``U``'s rows are ``i mod m`` of the same ids, so its backward sorts a
+batch's ids once and hands all three tables gradients that are already
+coalesced.  The sharded layer keeps the unfused graph over its routed
+lookups.
 """
 
 from __future__ import annotations
@@ -85,13 +92,7 @@ class MEmComEmbedding(CompressedEmbedding):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         indices = self._check_indices(indices)
-        hashed = indices % self.num_hash_embeddings
-        x_rem = ops.embedding_lookup(self.shared, hashed)
-        x_mult = ops.embedding_lookup(self.multiplier, indices)
-        if self.bias_table is not None:
-            # Fused (…, e) * (…, 1) + (…, 1): one graph node on the hot path.
-            return ops.muladd(x_rem, x_mult, ops.embedding_lookup(self.bias_table, indices))
-        return ops.mul(x_rem, x_mult)  # (…, e) * (…, 1) broadcast
+        return ops.memcom_lookup(self.shared, self.multiplier, self.bias_table, indices)
 
     def frozen(self):
         # Gather U by id mod m, broadcast-multiply V, then add W: the

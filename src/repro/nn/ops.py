@@ -9,8 +9,11 @@ adjoint of broadcasting.
 The embedding-specific primitive is :func:`embedding_lookup`, whose backward
 emits a row-sparse :class:`repro.nn.sparse_grad.SparseRowGrad` — the same
 ``IndexedSlices`` semantics TF 1.x gives ``tf.gather``, so optimizers update
-only the rows a batch touched (see DESIGN.md §5).  The dense scatter-add
-baseline is kept behind ``sparse_grads(False)`` for benchmarking.
+only the rows a batch touched (see DESIGN.md §5).  :func:`memcom_lookup`
+fuses MEmCom's three gathers and its composition into one node whose
+backward sorts the batch's ids once and emits all three gradients already
+coalesced.  The dense scatter-add baseline is kept behind
+``sparse_grads(False)`` for benchmarking.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "sub",
     "mul",
     "muladd",
+    "memcom_lookup",
     "div",
     "neg",
     "pow",
@@ -132,9 +136,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def muladd(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     """Fused ``a * b + c`` with NumPy broadcasting.
 
-    One graph node and one output buffer instead of two — this is the
-    MEmCom composition ``U[j] ⊙ V[i] + W[i]`` (Algorithm 3), fused because
-    it sits on the training hot path of every embedding lookup.
+    One graph node and one output buffer instead of two.  The sharded
+    MEmCom layer composes ``U[j] ⊙ V[i] + W[i]`` (Algorithm 3) with it over
+    its routed lookups; the monolithic layer fuses the gathers as well, in
+    :func:`memcom_lookup`, which computes the same floats in the same order.
     """
     out_data = a.data * b.data
     if out_data.shape == np.broadcast_shapes(out_data.shape, c.data.shape) and (
@@ -153,6 +158,53 @@ def muladd(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
             c._accumulate(unbroadcast(g, c.data.shape))
 
     return Tensor._make(out_data, (a, b, c), backward)
+
+
+def memcom_lookup(
+    shared: Tensor, multiplier: Tensor, bias: Tensor | None, indices: np.ndarray
+) -> Tensor:
+    """MEmCom's ``U[i mod m] ⊙ V[i] (+ W[i])`` (Algorithms 2 and 3) as one node.
+
+    ``m`` is ``shared``'s row count.  The forward gathers the three tables
+    with ``np.take`` and computes ``a * b`` then ``+= c``, the order of
+    :func:`muladd` over three :func:`embedding_lookup`\\ s.  ``indices`` must
+    already be range-checked (``CompressedEmbedding._check_indices``):
+    ``np.take`` raises past the end of a table but wraps negative ids.
+
+    The backward coalesces once.  V and W are both indexed by ``i``, so one
+    ``np.unique(ids, return_inverse=True)`` gives their rows; U's rows are
+    ``np.unique(rows % m)``, and its inverse composes the two.  Each table
+    then receives a :class:`SparseRowGrad` that is already coalesced, summed
+    exactly as :meth:`SparseRowGrad.coalesce` would sum the per-lookup rows
+    of the unfused graph, so norm clipping and the optimizer find nothing
+    left to sort.  Under ``sparse_grads(False)`` each is densified instead.
+    """
+    m = shared.data.shape[0]
+    a = np.take(shared.data, indices % m, axis=0)
+    b = np.take(multiplier.data, indices, axis=0)
+    out_data = a * b
+    tables: tuple[Tensor, ...] = (shared, multiplier)
+    if bias is not None:
+        c = np.take(bias.data, indices, axis=0)
+        out_data += c  # (…, 1) broadcasts into the (…, e) product
+        tables += (bias,)
+
+    def emit(table: Tensor, rows: np.ndarray, inverse: np.ndarray, per_lookup: np.ndarray) -> None:
+        values = per_lookup.reshape(-1, table.data.shape[1])
+        grad = SparseRowGrad.summed(rows, inverse, values, table.data.shape)
+        table._accumulate(grad if _sg.sparse_grads_enabled() else grad.to_dense())
+
+    def backward(g: np.ndarray) -> None:
+        rows, inverse = np.unique(indices.ravel(), return_inverse=True)
+        if shared.requires_grad:
+            shared_rows, shared_inverse = np.unique(rows % m, return_inverse=True)
+            emit(shared, shared_rows, shared_inverse[inverse], unbroadcast(g * b, a.shape))
+        if multiplier.requires_grad:
+            emit(multiplier, rows, inverse, unbroadcast(g * a, b.shape))
+        if bias is not None and bias.requires_grad:
+            emit(bias, rows, inverse, unbroadcast(g, c.shape))
+
+    return Tensor._make(out_data, tables, backward)
 
 
 def neg(a: Tensor) -> Tensor:

@@ -9,10 +9,13 @@ Sparse fast path
 ----------------
 Embedding lookups emit row-sparse gradients
 (:class:`repro.nn.sparse_grad.SparseRowGrad`); every ``step()`` here has a
-sparse branch that updates **only the touched rows** with fancy indexing, so
-a step over a ``v``-row table costs O(batch) instead of O(v) — the TF 1.x
-``IndexedSlices`` sparse-apply the paper trained on.  Semantics (DESIGN.md
-§5):
+sparse branch that updates **only the touched rows**, so a step over a
+``v``-row table costs O(batch) instead of O(v) — the TF 1.x
+``IndexedSlices`` sparse-apply the paper trained on.  Each branch reads the
+touched rows of the parameter and its slots once with ``np.take``, updates
+them in place, and writes them back once; the rows of a coalesced gradient
+are unique, so this is the same float math as ``p.data[rows] -= update``
+without its second gather.  Semantics (DESIGN.md §5):
 
 * **SGD (no momentum, no weight decay)** and **Adagrad** are *exactly*
   equivalent to the dense update: untouched rows receive a zero gradient,
@@ -246,18 +249,20 @@ class SGD(Optimizer):
         rows, g = sg.rows, sg.values
         if rows.size == 0:
             return
+        p_rows = np.take(p.data, rows, axis=0)
         if self.weight_decay:
-            g = g + self.weight_decay * p.data[rows]
+            g = g + self.weight_decay * p_rows
         if self.momentum:
             # Lazy momentum: rows not in the batch keep a frozen velocity.
-            v_rows = self.momentum * v[rows] - self.lr * g
+            v_rows = self.momentum * np.take(v, rows, axis=0) - self.lr * g
             v[rows] = v_rows
             if self.nesterov:
-                p.data[rows] += self.momentum * v_rows - self.lr * g
+                p_rows += self.momentum * v_rows - self.lr * g
             else:
-                p.data[rows] += v_rows
+                p_rows += v_rows
         else:
-            p.data[rows] -= self.lr * g
+            p_rows -= self.lr * g
+        p.data[rows] = p_rows
 
 
 class Adam(Optimizer):
@@ -335,10 +340,9 @@ class Adam(Optimizer):
         rows, g = sg.rows, sg.values
         if rows.size == 0:
             return
+        p_rows = np.take(p.data, rows, axis=0)
         if self.weight_decay:
-            g = g + self.weight_decay * np.take(p.data, rows, axis=0)
-        # np.take + in-place arithmetic: measurably faster than fancy
-        # indexing on the per-step row counts the models produce.
+            g = g + self.weight_decay * p_rows
         m_rows = np.take(m, rows, axis=0)
         m_rows *= self.beta1
         m_rows += (1.0 - self.beta1) * g
@@ -351,7 +355,8 @@ class Adam(Optimizer):
         update += self.eps
         np.divide(m_rows, update, out=update)
         update *= self.lr / bias1
-        p.data[rows] -= update
+        p_rows -= update
+        p.data[rows] = p_rows
 
 
 class Adagrad(Optimizer):
@@ -385,9 +390,11 @@ class Adagrad(Optimizer):
         rows, g = sg.rows, sg.values
         if rows.size == 0:
             return
-        acc_rows = acc[rows] + g * g
+        acc_rows = np.take(acc, rows, axis=0) + g * g
         acc[rows] = acc_rows
-        p.data[rows] -= self.lr * g / (np.sqrt(acc_rows) + self.eps)
+        p_rows = np.take(p.data, rows, axis=0)
+        p_rows -= self.lr * g / (np.sqrt(acc_rows) + self.eps)
+        p.data[rows] = p_rows
 
 
 class RMSProp(Optimizer):
@@ -444,14 +451,16 @@ class RMSProp(Optimizer):
         rows, g = sg.rows, sg.values
         if rows.size == 0:
             return
-        sq_rows = self.rho * sq[rows] + (1.0 - self.rho) * (g * g)
+        sq_rows = self.rho * np.take(sq, rows, axis=0) + (1.0 - self.rho) * (g * g)
         sq[rows] = sq_rows
         update = self.lr * g / (np.sqrt(sq_rows) + self.eps)
         if vel is not None:
-            vel_rows = self.momentum * vel[rows] + update
+            vel_rows = self.momentum * np.take(vel, rows, axis=0) + update
             vel[rows] = vel_rows
             update = vel_rows
-        p.data[rows] -= update
+        p_rows = np.take(p.data, rows, axis=0)
+        p_rows -= update
+        p.data[rows] = p_rows
 
 
 def global_grad_norm(params: list[Parameter]) -> float:

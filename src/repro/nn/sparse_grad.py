@@ -15,6 +15,13 @@ Semantics (see DESIGN.md §5):
 * ``rows`` may contain duplicates until :meth:`coalesce` — an id looked up
   k times in a batch contributes k value rows that sum on coalescing,
   exactly matching the dense scatter-add.
+* Coalesce once per batch of ids.  A producer that already knows the
+  sorted unique rows emits its gradient coalesced through
+  :meth:`SparseRowGrad.summed`, the kernel :meth:`coalesce` ends in, so the
+  sums are the same floats in the same order.  MEmCom's fused node
+  (:func:`repro.nn.ops.memcom_lookup`) sorts a batch's ids once for all
+  three of its tables, and norm clipping and the optimizer step then find
+  nothing left to sort.
 * ``Tensor.grad`` densifies lazily, so any consumer that asks for a plain
   ndarray (DP noise injection, tests, serialization) still gets one.
 * Optimizers with per-step decay (Adam, RMSProp, momentum-SGD) apply
@@ -37,19 +44,24 @@ _SPARSE_GRADS_ENABLED = True
 
 
 def onehot_rowsum(col_ids: np.ndarray, values: np.ndarray, num_cols: int) -> np.ndarray:
-    """``out[c] = Σ values[col_ids == c]`` via a CSR one-hot matmul.
+    """``out[c] = Σ values[col_ids == c]`` via a sparse one-hot matmul.
 
     The shared scatter-add kernel of the embedding backward: ~20× faster
     than ``np.add.at`` on batch-sized inputs.  Used both to densify a
     lookup gradient over a whole table and to coalesce duplicate rows onto
-    a compact id range.
+    a compact id range.  The ``(num_cols, k)`` transposed one-hot is built
+    directly in CSC form, so scipy's ``csc_matvecs`` adds the value rows
+    into each output row in lookup order.
     """
     k = col_ids.size
-    onehot = _sparse.csr_matrix(
-        (np.ones(k, dtype=values.dtype), col_ids, np.arange(k + 1)),
-        shape=(k, num_cols),
+    # scipy checks int64 index arrays and downcasts them on every build;
+    # handing it int32 ones where they fit skips that.
+    index = np.int32 if max(k, num_cols) < 2**31 else np.int64
+    onehot_t = _sparse.csc_matrix(
+        (np.ones(k, dtype=values.dtype), col_ids.astype(index), np.arange(k + 1, dtype=index)),
+        shape=(num_cols, k),
     )
-    return np.asarray(onehot.T @ values)
+    return np.asarray(onehot_t @ values)
 
 
 def sparse_grads_enabled() -> bool:
@@ -142,6 +154,39 @@ class SparseRowGrad:
             return self
         return SparseRowGrad(self.rows, self.values.astype(dtype), self.shape, self.coalesced)
 
+    @classmethod
+    def summed(
+        cls,
+        rows: np.ndarray,
+        inverse: np.ndarray,
+        values: np.ndarray,
+        shape: tuple[int, ...],
+    ) -> "SparseRowGrad":
+        """The coalesced grad of per-lookup ``values`` landing on ``rows[inverse]``.
+
+        ``rows`` is sorted and duplicate-free (``np.unique``'s output) and
+        ``inverse`` (1-D, one entry per value row) maps each value row onto
+        it.  Duplicates sum in lookup order; a duplicate-free batch is only
+        permuted.  :meth:`coalesce` and the fused MEmCom lookup
+        (:func:`repro.nn.ops.memcom_lookup`, which derives every table's
+        rows from one ``np.unique``) both end here.
+        """
+        if rows.size == inverse.size:
+            # Duplicate-free: scatter each value row to its sorted position.
+            ordered = np.empty_like(values)
+            ordered[inverse] = values
+            return cls(rows, ordered, shape, True)
+        if values.shape[1] == 1:
+            # Per-entity scalar tables (MEmCom multiplier/bias, QR-style
+            # columns): one weighted bincount beats any 2-D reduction.
+            summed = np.bincount(
+                inverse, weights=values[:, 0], minlength=rows.size
+            ).astype(values.dtype)[:, None]
+            return cls(rows, summed, shape, True)
+        # Sum duplicate rows onto the compact unique-id range — ~3× faster
+        # than np.add.reduceat over sorted values.
+        return cls(rows, onehot_rowsum(inverse, values, rows.size), shape, True)
+
     def coalesce(self) -> "SparseRowGrad":
         """Sum duplicate rows; result has sorted, unique ``rows``.
 
@@ -154,22 +199,7 @@ class SparseRowGrad:
         if self.rows.size == 0:
             return SparseRowGrad(self.rows, self.values, self.shape, True)
         unique_rows, inverse = np.unique(self.rows, return_inverse=True)
-        if unique_rows.size == self.rows.size:
-            # Duplicate-free; np.unique sorted the rows for us.
-            order = np.argsort(self.rows, kind="stable")
-            return SparseRowGrad(unique_rows, self.values[order], self.shape, True)
-        inverse = inverse.ravel()
-        if self.shape[1] == 1:
-            # Per-entity scalar tables (MEmCom multiplier/bias, QR-style
-            # columns): one weighted bincount beats any 2-D reduction.
-            summed = np.bincount(
-                inverse, weights=self.values[:, 0], minlength=unique_rows.size
-            ).astype(self.values.dtype)[:, None]
-            return SparseRowGrad(unique_rows, summed, self.shape, True)
-        # Sum duplicate rows onto the compact unique-id range — ~3× faster
-        # than np.add.reduceat over sorted values.
-        summed = onehot_rowsum(inverse, self.values, unique_rows.size)
-        return SparseRowGrad(unique_rows, summed, self.shape, True)
+        return SparseRowGrad.summed(unique_rows, inverse.ravel(), self.values, self.shape)
 
     def merge(self, other: "SparseRowGrad") -> "SparseRowGrad":
         """Concatenate two sparse grads of the same table (sum semantics)."""

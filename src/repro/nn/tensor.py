@@ -160,9 +160,10 @@ class Tensor:
             )
         if isinstance(grad, SparseRowGrad):
             if self._grad is None:
-                # No defensive copy here: the producer (embedding_lookup
-                # backward) already emits owned row/value buffers, so the
-                # incoming SparseRowGrad never aliases a live grad buffer.
+                # No defensive copy here: the producers (the backward of
+                # embedding_lookup and memcom_lookup) emit owned row/value
+                # buffers, so the incoming SparseRowGrad never aliases a
+                # live grad buffer.
                 self._grad = grad.astype(self.data.dtype)
             elif isinstance(self._grad, SparseRowGrad):
                 self._grad = self._grad.merge(grad)

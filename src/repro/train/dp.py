@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.optim import Optimizer, clip_global_norm
-from repro.train.trainer import TrainConfig, Trainer
+from repro.nn.optim import Optimizer
+from repro.train.trainer import TrainConfig, Trainer, clip_finite
 from repro.utils.rng import ensure_rng, rng_state, set_rng_state
 
 __all__ = ["DPConfig", "DPTrainer", "rdp_epsilon"]
@@ -66,13 +66,13 @@ class DPTrainer(Trainer):
 
     def _process_gradients(self, opt: Optimizer, batch_size: int) -> None:
         dp = self.dp
-        # clip_global_norm handles sparse embedding grads without
-        # densifying; the Gaussian mechanism below perturbs *every*
-        # coordinate, so sparse row-grads are densified here —
-        # unconditionally, so the σ=0 sweep origin trains with the
+        # clip_finite handles sparse embedding grads without densifying
+        # and raises on a non-finite norm; the Gaussian mechanism below
+        # perturbs *every* coordinate, so sparse row-grads are densified
+        # here — unconditionally, so the σ=0 sweep origin trains with the
         # same dense-Adam semantics as every σ>0 point (the DP path
         # trades the sparse fast path for the privacy guarantee).
-        clip_global_norm(opt.params, dp.l2_clip)
+        clip_finite(opt.params, dp.l2_clip)
         scale = dp.noise_multiplier * dp.l2_clip / batch_size
         for p in opt.params:
             g = p.grad  # property read densifies sparse row-grads

@@ -27,6 +27,7 @@ continues the run bit-identically to one that was never interrupted
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,10 +39,11 @@ from repro.nn.layers import Module
 from repro.nn.losses import distillation_loss, ranknet_loss, softmax_cross_entropy
 from repro.nn.optim import SGD, Adagrad, Adam, Optimizer, RMSProp, clip_global_norm
 from repro.nn.schedulers import Scheduler, build_scheduler
+from repro.nn.sparse_grad import SparseRowGrad
 from repro.utils.logging import log
 from repro.utils.rng import ensure_rng
 
-__all__ = ["TrainConfig", "History", "TrainState", "Trainer"]
+__all__ = ["TrainConfig", "History", "TrainState", "Trainer", "clip_finite"]
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,28 @@ _TASKS = {
     "pairwise": ("ndcg", True),
     "distillation": (None, False),
 }
+
+
+def clip_finite(params: list, max_norm: float) -> float:
+    """:func:`clip_global_norm`, raising ``FloatingPointError`` when the norm
+    it computes is not finite (a NaN norm clips nothing, so the optimizer
+    step would write the NaN into a row)."""
+    norm = clip_global_norm(params, max_norm)
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"global gradient norm is {norm}")
+    return norm
+
+
+def _nonfinite_grad_key(model: Module) -> str | None:
+    """The ``state_dict`` key of the first parameter whose gradient holds a
+    non-finite value (read only on the error path)."""
+    for name, p in model.named_parameters():
+        g = p.raw_grad
+        if g is None:
+            continue
+        if not np.isfinite(g.values if isinstance(g, SparseRowGrad) else g).all():
+            return name
+    return None
 
 
 class Trainer:
@@ -300,10 +324,13 @@ class Trainer:
         """Between ``loss.backward()`` and ``opt.step()``.
 
         The default applies the configured global-norm clip; DP training
-        replaces this with clip-to-sensitivity plus Gaussian noise.
+        replaces this with clip-to-sensitivity plus Gaussian noise.  Both
+        clip through :func:`clip_finite`, so a non-finite gradient raises
+        ``FloatingPointError`` here, before ``opt.step()`` can apply it;
+        the loop adds the epoch, batch and parameter to the message.
         """
         if self.config.grad_clip_norm is not None:
-            clip_global_norm(opt.params, self.config.grad_clip_norm)
+            clip_finite(opt.params, self.config.grad_clip_norm)
 
     def extra_state(self) -> dict:
         """Trainer-specific JSON-able state a checkpoint should carry
@@ -366,13 +393,20 @@ class Trainer:
                 opt.zero_grad()
                 loss = batch_loss(batch)
                 if not np.isfinite(loss.item()):
+                    hint = "" if cfg.grad_clip_norm is not None else " or enable grad_clip_norm"
                     raise FloatingPointError(
                         f"non-finite training loss at epoch {epoch + 1}, "
                         f"batch {n_batches + 1} (lr={opt.lr:g}) — lower the "
-                        "learning rate or enable grad_clip_norm"
+                        f"learning rate{hint}"
                     )
                 loss.backward()
-                self._process_gradients(opt, len(batch[0]))
+                try:
+                    self._process_gradients(opt, len(batch[0]))
+                except FloatingPointError as exc:
+                    raise FloatingPointError(
+                        f"non-finite gradient at epoch {epoch + 1}, batch {n_batches + 1} "
+                        f"(stage: gradient, parameter {_nonfinite_grad_key(model)!r}): {exc}"
+                    ) from exc
                 opt.step()
                 epoch_loss += loss.item()
                 n_batches += 1

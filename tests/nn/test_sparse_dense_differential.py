@@ -16,18 +16,22 @@ tolerances of DESIGN.md §5:
 The hand-picked cases live in ``test_optim_sparse.py``; this sweep exists
 to hit the combinations nobody thought to hand-pick (duplicate-heavy
 batches, empty batches interleaved with full sweeps, clip kicking in on
-some steps only).
+some steps only).  It drives two producers of sparse gradients: a bare
+``embedding_lookup`` and MEmCom's fused node, which emits its three tables'
+gradients already coalesced.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.memcom import MEmComEmbedding
 from repro.nn import ops
 from repro.nn.optim import SGD, Adagrad, Adam, RMSProp, clip_global_norm
 from repro.nn.sparse_grad import sparse_grads
 from repro.nn.tensor import Parameter
 
 V, E = 17, 4
+M = 5  # MEmCom's shared rows: ids collide on id mod M
 SEEDS = [0, 1, 2, 3, 4]
 
 # All 4 optimizer families; the sparse equivalence class is part of the
@@ -77,16 +81,30 @@ def _batches(pattern: str, rng: np.random.Generator, steps: int = 12) -> list[np
     return out
 
 
-def _run(factory, batches, sparse, clip):
+def _table():
+    """One ``(V, E)`` table read by a bare lookup; ``(params, forward)``."""
     rng = np.random.default_rng(99)
     table = Parameter(rng.normal(0.0, 1.0, size=(V, E)).astype(np.float32))
-    opt = factory([table])
+    return [table], lambda idx: ops.embedding_lookup(table, idx)
+
+
+def _memcom(bias):
+    """A MEmCom layer's ``(params, forward)``: tables U, V and (bias) W."""
+    emb = MEmComEmbedding(V, E, M, bias=bias, multiplier_init="uniform", rng=99)
+    if bias:
+        emb.bias_table.data[:] = np.random.default_rng(98).normal(0.0, 0.5, size=(V, 1))
+    return emb.parameters(), emb
+
+
+def _run(factory, build, batches, sparse, clip):
+    params, forward = build()
+    opt = factory(params)
     norms = []
     with sparse_grads(sparse):
         for idx in batches:
             idx = np.asarray(idx, dtype=np.int64)
             opt.zero_grad()
-            out = ops.embedding_lookup(table, idx)
+            out = forward(idx)
             # Size-normalized quadratic: d/dT[i] accumulates (2/n)·T[i] per
             # hit, so duplicate-heavy batches stay in the stable-lr regime
             # (unstable dynamics would amplify float noise, not semantics).
@@ -95,9 +113,45 @@ def _run(factory, batches, sparse, clip):
             )
             loss.backward()
             if clip is not None:
-                norms.append(clip_global_norm([table], clip))
+                norms.append(clip_global_norm(params, clip))
             opt.step()
-    return table.data.copy(), norms
+    return [p.data.copy() for p in params], norms
+
+
+def _assert_contract(name, pattern, clip, seed, build, row_maps):
+    """Run sparse and dense, then hold them to the optimizer's contract.
+
+    ``row_maps`` maps the batch's ids to each parameter's touched rows.
+    """
+    factory, kind = OPTIMIZERS[name]
+    rng = np.random.default_rng(seed)
+    batches = _batches(pattern, rng)
+
+    sparse, sparse_norms = _run(factory, build, batches, sparse=True, clip=clip)
+    dense, dense_norms = _run(factory, build, batches, sparse=False, clip=clip)
+
+    if kind == "exact" or pattern == "full":
+        # Exact class, or lazy with every row touched every step: the sparse
+        # branch performs the identical per-row float math, so trajectories
+        # — and therefore every step's pre-clip gradient norm — agree.
+        np.testing.assert_allclose(sparse_norms, dense_norms, rtol=1e-4)
+        for s, d in zip(sparse, dense):
+            np.testing.assert_allclose(s, d, rtol=2e-4, atol=2e-5)
+        return
+    # Lazy on partial coverage: trajectories (hence later gradients and
+    # norms) legitimately diverge within the drift bound — only the frozen-
+    # row and bounded-drift contracts apply.
+    ids = np.concatenate([np.asarray(b, dtype=np.int64) for b in batches])
+    init = [p.data for p in build()[0]]
+    for s, d, start, rows_of in zip(sparse, dense, init, row_maps):
+        # Untouched rows must be frozen ...
+        untouched = np.setdiff1d(np.arange(len(start)), rows_of(ids))
+        np.testing.assert_array_equal(s[untouched], start[untouched])
+        # ... and touched rows bounded within the documented drift of dense.
+        drift = np.max(np.abs(s - d))
+        assert drift < len(batches) * LAZY_DRIFT_PER_STEP, (
+            f"lazy drift {drift:.4f} exceeds documented bound for {name}/{pattern}"
+        )
 
 
 @pytest.mark.parametrize("clip", [None, 0.8], ids=["noclip", "clip"])
@@ -105,34 +159,19 @@ def _run(factory, batches, sparse, clip):
 @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sparse_vs_dense(name, pattern, clip, seed):
-    factory, kind = OPTIMIZERS[name]
-    rng = np.random.default_rng(seed)
-    batches = _batches(pattern, rng)
+    _assert_contract(name, pattern, clip, seed, _table, [lambda ids: ids])
 
-    sparse, sparse_norms = _run(factory, batches, sparse=True, clip=clip)
-    dense, dense_norms = _run(factory, batches, sparse=False, clip=clip)
 
-    if kind == "exact" or pattern == "full":
-        # Exact class, or lazy with every row touched every step: the sparse
-        # branch performs the identical per-row float math, so trajectories
-        # — and therefore every step's pre-clip gradient norm — agree.
-        np.testing.assert_allclose(sparse_norms, dense_norms, rtol=1e-4)
-        np.testing.assert_allclose(sparse, dense, rtol=2e-4, atol=2e-5)
-        return
-    # Lazy on partial coverage: trajectories (hence later gradients and
-    # norms) legitimately diverge within the drift bound — only the frozen-
-    # row and bounded-drift contracts apply.
-
-    # Untouched rows must be frozen ...
-    touched = np.unique(np.concatenate([np.asarray(b) for b in batches]))
-    untouched = np.setdiff1d(np.arange(V), touched)
-    init = np.random.default_rng(99).normal(0.0, 1.0, size=(V, E)).astype(np.float32)
-    np.testing.assert_array_equal(sparse[untouched], init[untouched])
-    # ... and touched rows bounded within the documented drift of dense.
-    drift = np.max(np.abs(sparse - dense))
-    assert drift < len(batches) * LAZY_DRIFT_PER_STEP, (
-        f"lazy drift {drift:.4f} exceeds documented bound for {name}/{pattern}"
-    )
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("clip", [None, 0.8], ids=["noclip", "clip"])
+@pytest.mark.parametrize("pattern", ["dup", "empty", "full"])
+@pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_memcom_sparse_vs_dense(name, pattern, clip, seed, bias):
+    """The same contract through MEmCom's fused node (V=17, m=5, e=4):
+    U's touched rows are the ids mod m, V's and W's the ids."""
+    row_maps = [lambda ids: ids % M] + [lambda ids: ids] * (2 if bias else 1)
+    _assert_contract(name, pattern, clip, seed, lambda: _memcom(bias), row_maps)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
