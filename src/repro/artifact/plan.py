@@ -186,7 +186,9 @@ def build_tower(plan: TowerPlan):
 
     if plan.kind == "ranknet":
         norm = _batch_norm_fn(plan, "norm")
-        items_t = plan.arrays["item_table"].T.copy()
+        # A transposed view, as the model multiplies: a contiguous copy
+        # takes another BLAS kernel and moves the scores' last bits.
+        items_t = plan.arrays["item_table"].T
         item_bias = plan.arrays["item_bias"].reshape(-1).copy()
 
         def tower(h: np.ndarray) -> np.ndarray:

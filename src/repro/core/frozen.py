@@ -186,34 +186,31 @@ def hashed_bag(
     return encoded
 
 
-def compose(
-    form: FrozenForm, gather: Callable, ids: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def compose(form: FrozenForm, gather: Callable, ids: np.ndarray) -> np.ndarray:
     """Evaluate ``form`` on ``ids``, reading tables through ``gather``.
 
-    ``gather(table, rows, out=None)`` returns FP32 rows of the named table
+    ``gather(table, rows)`` returns fresh FP32 rows of the named table
     (``rows=None``: the whole table, a projection's weight).  Per-id forms
     map flat ids to ``(n, output_dim)`` rows, a pooled form ``(B, L)`` ids
-    to ``(B, output_dim)``.  ``out`` is scratch the result may be written
-    into; callers use the returned array.
+    to ``(B, output_dim)``.
     """
-    return _eval(form.root, gather, np.asarray(ids), out)
+    return _eval(form.root, gather, np.asarray(ids))
 
 
-def _eval(node: Node, gather: Callable, ids: np.ndarray, out=None) -> np.ndarray:
+def _eval(node: Node, gather: Callable, ids: np.ndarray) -> np.ndarray:
     if isinstance(node, Gather):
-        return gather(node.table, index_rows(node.index, ids), out)
+        return gather(node.table, index_rows(node.index, ids))
     op, parts, args = node.op, node.parts, node.args
     if op in ("mul", "add"):
         # Gathers and combines return fresh buffers, so the fold may
         # write into its first part — the same floats a new array holds.
-        acc = _eval(parts[0], gather, ids, out)
+        acc = _eval(parts[0], gather, ids)
         fold = np.multiply if op == "mul" else np.add
         for part in parts[1:]:
             fold(acc, _eval(part, gather, ids), out=acc)
         return acc
     if op == "concat":
-        return np.concatenate([_eval(p, gather, ids) for p in parts], axis=-1, out=out)
+        return np.concatenate([_eval(p, gather, ids) for p in parts], axis=-1)
     if op == "project":
         return _eval(parts[0], gather, ids) @ gather(args[0], None)
     if op == "tt":

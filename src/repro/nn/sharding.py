@@ -118,15 +118,14 @@ class ShardedTable(Module):
 
     # -- routed access ---------------------------------------------------------
 
-    def take_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def take_rows(self, rows: np.ndarray) -> np.ndarray:
         """Forward-only routed gather of logical rows (no autograd graph).
 
         The serving engine's path: returns exactly the bytes the monolithic
-        table would, assembled from per-shard gathers (into ``out`` if given).
+        table would, assembled from per-shard gathers into a fresh array.
         """
         rows = np.asarray(rows).ravel()
-        if out is None:
-            out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
+        out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
         sid = self._shard_of[rows]
         loc = self._local_of[rows]
         for s, p in enumerate(self.shards):

@@ -108,9 +108,9 @@ class QuantizedEmbedding:
 
     # -- row composition --------------------------------------------------------
 
-    def _gather(self, name: str, rows, out=None) -> np.ndarray:
+    def _gather(self, name: str, rows) -> np.ndarray:
         table = self.form.tables[name]
-        return table.dense() if rows is None else table.gather(rows, out=out)
+        return table.dense() if rows is None else table.gather(rows)
 
     def encode(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Storage-form ``(codes, scales)`` for each id — the cache payload.
@@ -124,14 +124,14 @@ class QuantizedEmbedding:
             return self.form.tables[root.table].gather_codes(index_rows(root.index, flat))
         return encode_rows(compose(self.form, self._gather, flat), self.bits)
 
-    def rows(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, flat: np.ndarray) -> np.ndarray:
         """Served FP32 rows: ``decode(encode(ids))``.
 
         Single-row and batched calls run the same elementwise decode, so
         row values never depend on batch grouping.
         """
         codes, scales = self.encode(flat)
-        return decode_rows(codes, scales, self.bits, self.output_dim, out=out)
+        return decode_rows(codes, scales, self.bits, self.output_dim)
 
     # -- reference / accounting -------------------------------------------------
 

@@ -124,12 +124,10 @@ class QuantizedTable:
         ids = np.asarray(ids).ravel()
         return self.codes[ids], np.ascontiguousarray(self._row_scales(ids))
 
-    def gather(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def gather(self, ids: np.ndarray) -> np.ndarray:
         """Dequantized FP32 rows for ``ids`` (any shape, flattened)."""
         ids = np.asarray(ids).ravel()
-        return decode_rows(
-            self.codes[ids], self._row_scales(ids), self.bits, self.dim, out=out
-        )
+        return decode_rows(self.codes[ids], self._row_scales(ids), self.bits, self.dim)
 
     def row(self, i: int) -> np.ndarray:
         """One dequantized row — the single-row serving path.

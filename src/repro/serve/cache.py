@@ -135,9 +135,10 @@ class LRUCache:
     def bytes_per_row(self) -> int:
         return int(self._store.itemsize) * self.dim
 
-    def rows(self, slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gather stored rows by slot (callers filter out −1 first)."""
-        return self._store.take(slots, axis=0, out=out)
+    def rows(self, slots: np.ndarray) -> np.ndarray:
+        """Gather stored rows by slot into a fresh array (callers filter
+        out −1 first)."""
+        return self._store.take(slots, axis=0)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -373,12 +374,7 @@ class QuantizedRowCache(LRUCache):
     def bytes_per_row(self) -> int:
         return codes_bytes_per_row(self.dim, self.bits)
 
-    def rows(self, slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, slots: np.ndarray) -> np.ndarray:
         """Fused gather→decode of cached rows into FP32."""
-        return decode_rows(
-            self._store.take(slots, axis=0),
-            self._scales.take(slots),
-            self.bits,
-            self.dim,
-            out=out,
-        )
+        codes, scales = self._store.take(slots, axis=0), self._scales.take(slots)
+        return decode_rows(codes, scales, self.bits, self.dim)

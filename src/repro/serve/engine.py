@@ -43,6 +43,13 @@ matches a plain FP32 engine over ``QuantizedEmbedding.dequantized()``
 bit-for-bit (DESIGN.md §7).  The tower stays FP32 — the paper's on-device
 setting stores weights quantized but computes in FP32.
 
+Each embedding row is moved once: ``predict`` gathers a batch's rows
+*position-major* (every request's first id, then every second, ...) into
+a fresh array and hands the tower a ``(B, L, e)`` view, so the mean-pool
+adds whole ``(B, e)`` planes in the model's order over L.  An e = 1 plan
+keeps request-major rows, because numpy sums a contiguous width-1 window
+pairwise (DESIGN.md §6).
+
 The tower freeze itself lives in :mod:`repro.artifact.plan` as plain data
 (:class:`~repro.artifact.plan.TowerPlan`), so :meth:`InferenceEngine.from_parts`
 can assemble the identical closure chain from an on-disk
@@ -72,28 +79,6 @@ __all__ = ["InferenceEngine"]
 # -- frozen weight access -------------------------------------------------------
 
 
-class _RowScratch:
-    """Grow-only ``(n, dim)`` scratch reused across batches.
-
-    Serving allocates the same large row buffers every batch; recycling one
-    arena keeps the engine in steady state instead of bouncing on the
-    allocator's mmap threshold (which measurably bimodalizes batch latency).
-    The buffer is only valid until the next request for the same scratch.
-    """
-
-    __slots__ = ("dim", "dtype", "_arr")
-
-    def __init__(self, dim: int, dtype: np.dtype = np.float32) -> None:
-        self.dim = dim
-        self.dtype = dtype
-        self._arr: np.ndarray | None = None
-
-    def get(self, n: int) -> np.ndarray:
-        if self._arr is None or self._arr.shape[0] < n:
-            self._arr = np.empty((n, self.dim), self.dtype)
-        return self._arr[:n]
-
-
 def _snapshot(arr: np.ndarray) -> np.ndarray:
     """Freeze-copy ``arr`` — unless it is already frozen.
 
@@ -110,11 +95,12 @@ def _freeze_table(table) -> tuple["callable", int]:
     """``(take, nbytes)``: a row getter over a snapshot of a Parameter or
     ShardedTable, and the snapshot's bytes.
 
-    The getter accepts an optional preallocated ``out`` buffer; ``ids=None``
-    returns the whole table (a projection weight).  Sharded tables keep
-    their partitioned layout: lookups route per shard, exactly as a
-    multi-host deployment would, returning the same bytes a monolithic
-    gather yields.
+    ``ids=None`` returns the whole table (a projection weight).  A gather
+    is a plain ``take`` into a fresh array: it raises on an out-of-range
+    row, and numpy's ``take(out=)`` would copy ``out`` into a temporary and
+    back rather than save the allocation.  Sharded tables keep their
+    partitioned layout: lookups route per shard, exactly as a multi-host
+    deployment would, returning the same bytes a monolithic gather yields.
     """
     if isinstance(table, ShardedTable):
         # The routing is fixed by the table's shape; only the shard
@@ -124,27 +110,27 @@ def _freeze_table(table) -> tuple["callable", int]:
         return frozen.take_rows, sum(p.data.nbytes for p in frozen.shards)
     arr = _snapshot(table.data)
 
-    def take_dense(ids: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
-        return arr if ids is None else arr.take(ids, axis=0, out=out)
+    def take_dense(ids: np.ndarray | None) -> np.ndarray:
+        return arr if ids is None else arr.take(ids, axis=0)
 
     return take_dense, arr.nbytes
 
 
 def _freeze_form(form) -> tuple["callable", int]:
     """``(compose_fn, table_bytes)`` over snapshots of a form's tables — the
-    FP32 plan of every technique.  ``compose_fn(ids, out=None)`` composes
-    one row per flat id, or one pooled row per ``(B, L)`` request."""
+    FP32 plan of every technique.  ``compose_fn(ids)`` composes one fresh
+    row per flat id, or one pooled row per ``(B, L)`` request."""
     takes, table_bytes = {}, 0
     for name, table in form.tables.items():
         takes[name], nbytes = _freeze_table(table)
         table_bytes += nbytes
     form = replace(form, tables={})  # the plan holds snapshots, not live tables
 
-    def gather(name: str, rows, out=None) -> np.ndarray:
-        return takes[name](rows, out)
+    def gather(name: str, rows) -> np.ndarray:
+        return takes[name](rows)
 
-    def rows(ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return compose(form, gather, ids, out)
+    def rows(ids: np.ndarray) -> np.ndarray:
+        return compose(form, gather, ids)
 
     return rows, table_bytes
 
@@ -350,7 +336,6 @@ class InferenceEngine:
         self._embed_pooled = None
         if form.pooled:
             self._embed_pooled, self._embed_rows = self._embed_rows, None
-        self._rows_scratch = _RowScratch(self.embedding_dim)
         if cache_rows is not None and cache_rows <= 0:
             raise ValueError(f"cache capacity must be positive, got {cache_rows}")
         self.cache: LRUCache | None = None
@@ -399,16 +384,15 @@ class InferenceEngine:
         return payload[sel]
 
     def _embed(self, flat: np.ndarray) -> np.ndarray:
-        scratch = self._rows_scratch.get(flat.size)
         if self.cache is None:
-            return self._embed_rows(flat, scratch)
+            return self._embed_rows(flat)
         # Misses — the Zipf tail — are coalesced, composed, and inserted
         # first; the whole batch then assembles with ONE gather from the row
         # store (the hit path's only per-request work).
         slots = self.cache.lookup(flat)
         miss_at = np.flatnonzero(slots < 0)
         if not miss_at.size:
-            return self.cache.rows(slots, out=scratch)
+            return self.cache.rows(slots)
         miss_ids, inverse = np.unique(flat[miss_at], return_inverse=True)
         inverse = inverse.ravel()
         payload = self._compute_payload(miss_ids)
@@ -417,11 +401,11 @@ class InferenceEngine:
         slots[miss_at] = expanded
         dropped = np.flatnonzero(expanded < 0)
         if not dropped.size:
-            return self.cache.rows(slots, out=scratch)
+            return self.cache.rows(slots)
         # Rows the cache declined to store (admission-rejected, or overflow
         # beyond the evictable slots): splice their computed values in
         # directly.
-        out = self.cache.rows(np.where(slots >= 0, slots, 0), out=scratch)
+        out = self.cache.rows(np.where(slots >= 0, slots, 0))
         out[miss_at[dropped]] = self._payload_rows(payload, inverse[dropped])
         return out
 
@@ -498,9 +482,17 @@ class InferenceEngine:
         ids = self.validate_ids(ids)
         if self._embed_pooled is not None:
             h = self._embed_pooled(ids)
+        elif self.embedding_dim == 1:
+            # numpy sums a request's width-1 window pairwise, as the model's
+            # request-major forward does; position-major rows would not.
+            h = self._embed(ids.ravel()).reshape(ids.shape + (1,))
         else:
-            rows = self._embed(ids.ravel())
-            h = rows.reshape(ids.shape + (self.embedding_dim,))
+            # Position-major rows (every request's first id, then every
+            # second, ...): the mean-pool then adds whole (B, e) planes, in
+            # the same order over L as the request-major forward.
+            b, length = ids.shape
+            rows = self._embed(ids.T.ravel())
+            h = rows.reshape(length, b, self.embedding_dim).transpose(1, 0, 2)
         self.requests_served += ids.shape[0]
         self.batches_served += 1
         return self._tower(h)
