@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``.
 
-The canonical metadata lives in pyproject.toml; this file exists so
-``pip install -e .`` works in offline environments where the ``wheel``
-package (required by PEP 660 editable builds on setuptools<70) is absent.
+This file is the project's only packaging metadata; there is no
+pyproject.toml.  A plain ``setup.py`` also keeps ``pip install -e .``
+working in offline environments where the ``wheel`` package (required by
+PEP 660 editable builds on setuptools<70) is absent.
 """
 
 from setuptools import find_packages, setup

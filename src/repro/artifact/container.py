@@ -57,7 +57,7 @@ the resulting integer codes + scales; loading adopts them *without*
 recalibration.  Both halves therefore sit on the same single-rounding
 path as the in-memory quantized engine, which is why
 ``ServeSession.load(save_artifact(model))`` serves bit-identical
-predictions (pinned across techniques × shards × widths in
+predictions (pinned across techniques × widths in
 ``tests/artifact/test_roundtrip.py``).
 """
 

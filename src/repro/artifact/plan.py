@@ -18,9 +18,7 @@ serving engine reads the rebuilt module's frozen form.  Construction is
 deterministic given the spec, and every value that matters (tables, hash
 salts, running statistics) comes from the state dict, so
 ``build_embedding_from_spec(spec).load_state_dict(state)`` reproduces the
-module float-for-float.  Sharded layouts rebuild their routing from
-``n_shards`` (it is a pure function of ``(num_rows, n_shards)``, see
-:mod:`repro.nn.sharding`) and are never serialized.
+module float-for-float.
 """
 
 from __future__ import annotations
@@ -30,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
-from repro.core.full import FullEmbedding, ShardedFullEmbedding
+from repro.core.full import FullEmbedding
 from repro.core.hashing import (
     DoubleHashEmbedding,
     FrequencyDoubleHashEmbedding,
     NaiveHashEmbedding,
 )
 from repro.core.low_rank import FactorizedEmbedding, ReducedDimEmbedding
-from repro.core.memcom import MEmComEmbedding, ShardedMEmComEmbedding
+from repro.core.memcom import MEmComEmbedding
 from repro.core.mixed_dim import MixedDimEmbedding
 from repro.core.onehot import HashedOneHotEncoder
 from repro.core.quotient_remainder import QREmbedding
@@ -212,19 +210,10 @@ _SPEC_READERS = {
     FullEmbedding: lambda e: {
         "vocab_size": e.vocab_size, "embedding_dim": e.embedding_dim,
     },
-    ShardedFullEmbedding: lambda e: {
-        "vocab_size": e.vocab_size, "embedding_dim": e.embedding_dim,
-        "n_shards": e.n_shards,
-    },
     MEmComEmbedding: lambda e: {
         "vocab_size": e.vocab_size, "embedding_dim": e.embedding_dim,
         "num_hash_embeddings": e.num_hash_embeddings, "bias": e.bias,
         "multiplier_init": e.multiplier_init,
-    },
-    ShardedMEmComEmbedding: lambda e: {
-        "vocab_size": e.vocab_size, "embedding_dim": e.embedding_dim,
-        "num_hash_embeddings": e.num_hash_embeddings, "bias": e.bias,
-        "multiplier_init": e.multiplier_init, "n_shards": e.n_shards,
     },
     TTRecEmbedding: lambda e: {
         "vocab_size": e.vocab_size, "embedding_dim": e.embedding_dim,
@@ -274,12 +263,7 @@ _SPEC_CLASSES = {cls.__name__: cls for cls in _SPEC_READERS}
 
 
 def embedding_spec(emb: CompressedEmbedding) -> dict:
-    """Constructor recipe ``{"class": ..., "technique": ..., **kwargs}``.
-
-    Subclass entries shadow base entries via the exact-type lookup, so a
-    ``ShardedFullEmbedding`` records its shard layout rather than matching
-    its ``FullEmbedding`` base.
-    """
+    """Constructor recipe ``{"class": ..., "technique": ..., **kwargs}``."""
     reader = _SPEC_READERS.get(type(emb))
     if reader is None:
         raise TypeError(
@@ -304,6 +288,11 @@ def build_embedding_from_spec(spec: dict, lazy: bool = False) -> CompressedEmbed
     except (KeyError, TypeError):
         raise ArtifactFormatError(f"embedding spec missing 'class': {spec!r}") from None
     cls = _SPEC_CLASSES.get(cls_name)
+    if cls is None and "n_shards" in spec:  # written by a sharded export
+        raise ArtifactFormatError(
+            f"{cls_name}: sharded embedding layouts were removed; re-export "
+            "this artifact from the monolithic model"
+        )
     if cls is None:
         raise ArtifactFormatError(f"unknown embedding class {cls_name!r} in spec")
     kwargs = {k: v for k, v in spec.items() if k not in ("class", "technique")}

@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hash/keep size = vocab / fraction (hash-family techniques)",
     )
     p_export.add_argument(
-        "--shards", type=int, default=0,
-        help="shard the per-entity tables before export (0 = monolithic)",
-    )
-    p_export.add_argument(
         "--bits", type=int, choices=(32, 8, 4), default=32,
         help="storage width: 32 stores FP32 state, 8/4 store real "
         "QuantizedTable codes + scales",
@@ -353,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with --artifact, 8/4 quantize an FP32 artifact on load (32 = the "
         "artifact's native width)",
     )
-    p_serve.add_argument("--shards", type=int, default=4, help="shard count for the sharded run")
     p_serve.add_argument("--alpha", type=float, default=1.1, help="Zipf exponent of the traffic")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
@@ -1012,7 +1007,6 @@ def _validate_serve_args(args: argparse.Namespace) -> str | None:
         ("--hash-fraction", args.hash_fraction),
         ("--requests", args.requests),
         ("--batch-size", args.batch_size),
-        ("--shards", args.shards),
     ):
         if value <= 0:
             return f"{flag} must be positive, got {value}"
@@ -1100,7 +1094,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from dataclasses import replace as dc_replace
 
     from repro.artifact.errors import ArtifactError
-    from repro.models.builder import shard_model
     from repro.serve.session import ServeConfig, ServeSession
     from repro.traffic.model import TrafficModel, TrafficSpec
     from repro.traffic.replay import replay
@@ -1195,14 +1188,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
             sessions["monolithic"] = ServeSession.from_model(build(), base)
             sessions["monolithic+cache"] = ServeSession.from_model(build(), cached_cfg)
-            if args.technique in ("memcom", "full"):
-                label = f"sharded x{args.shards}"
-                sessions[label] = ServeSession.from_model(
-                    shard_model(build(), args.shards), base
-                )
-                sessions[f"{label}+cache"] = ServeSession.from_model(
-                    shard_model(build(), args.shards), cached_cfg
-                )
             if args.bits != 32:
                 # The repro.quant integer-storage plan: quantized tables served
                 # via fused gather→dequant, LRU cache of codes (DESIGN.md §7).
@@ -1330,7 +1315,6 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
 def _cmd_export_artifact(args: argparse.Namespace) -> int:
     # Import lazily: export pulls in the model + quant stack.
     from repro.artifact import save_artifact
-    from repro.models.builder import shard_model
     from repro.serve.session import ServeSession
 
     for flag, value in (
@@ -1346,12 +1330,6 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.shards < 0:
-        print(
-            f"repro export-artifact: error: --shards must be >= 0, got {args.shards}",
-            file=sys.stderr,
-        )
-        return 2
     if args.percentile is not None and not 0.0 < args.percentile <= 100.0:
         print(
             f"repro export-artifact: error: --percentile must be in (0, 100], "
@@ -1364,12 +1342,6 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
         print(f"repro export-artifact: error: {error}", file=sys.stderr)
         return 2
     model = _build_export_model(args)
-    if args.shards:
-        try:
-            model = shard_model(model, args.shards)
-        except TypeError as exc:  # no sharded variant of this technique
-            print(f"repro export-artifact: error: {exc}", file=sys.stderr)
-            return 2
     artifact = save_artifact(model, args.out, bits=args.bits, percentile=args.percentile)
     print(artifact.describe())
     # Reopen through the session front door: verifies every payload hash and

@@ -16,14 +16,14 @@ from repro.core.collisions import (
     expected_occupied_buckets,
     naive_hash_collision_rate,
 )
-from repro.core.full import FullEmbedding, ShardedFullEmbedding
+from repro.core.full import FullEmbedding
 from repro.core.hashing import (
     DoubleHashEmbedding,
     FrequencyDoubleHashEmbedding,
     NaiveHashEmbedding,
 )
 from repro.core.low_rank import FactorizedEmbedding, ReducedDimEmbedding
-from repro.core.memcom import MEmComEmbedding, ShardedMEmComEmbedding
+from repro.core.memcom import MEmComEmbedding
 from repro.core.mixed_dim import MixedDimEmbedding, block_dims, block_partition
 from repro.core.onehot import HashedOneHotEncoder
 from repro.core.quotient_remainder import QREmbedding
@@ -59,8 +59,6 @@ __all__ = [
     "NaiveHashEmbedding",
     "QREmbedding",
     "ReducedDimEmbedding",
-    "ShardedFullEmbedding",
-    "ShardedMEmComEmbedding",
     "TTRecEmbedding",
     "TechniqueProperties",
     "TechniqueSpec",

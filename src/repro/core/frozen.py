@@ -3,7 +3,7 @@
 Training composes a row through autograd ops; serving, integer storage and
 the device export only need to know *what* a technique computes.  Every
 technique's ``frozen()`` states that as data — a :class:`FrozenForm`: named
-2-D **tables** (a ``Parameter``, a ``ShardedTable``, or once calibrated a
+2-D **tables** (a ``Parameter``, or once calibrated a
 :class:`~repro.quant.QuantizedTable`) and a tree of :class:`Gather` leaves
 (one gather per table through an index map of :data:`INDEX_MAPS`) under
 :class:`Combine` nodes (one op of :data:`COMBINES`) — the idiom of one

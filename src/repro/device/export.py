@@ -195,9 +195,8 @@ def _export_embedding(em: ExportedModel, emb, b: int, length: int) -> tuple[int,
     """Emit the embedding stage from its frozen form; ``(width, pooled)``.
 
     One walk, children first: a gather op per table read, an op per
-    combine, priced as the layer computes (every part batch-wide).  Sharded
-    tables export their logical shape — a single device ships the
-    reassembled table.  The hashed one-hot bag is the "matrix approach": it
+    combine, priced as the layer computes (every part batch-wide).  The
+    hashed one-hot bag is the "matrix approach": it
     materializes the ``(B, m)`` encoding in anonymous memory, then a full
     dense matmul — an O(L·m) scan that makes the Weinberger model's latency
     dataset-independent in Table 3.

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.full import FullEmbedding, ShardedFullEmbedding
-from repro.core.memcom import MEmComEmbedding, ShardedMEmComEmbedding
 from repro.core.registry import build_embedding
 from repro.core.sizing import embedding_param_count
 from repro.models.classifier import EmbeddingClassifier, classifier_head_params
@@ -24,7 +22,6 @@ __all__ = [
     "build_pointwise_ranker",
     "build_ranknet",
     "model_param_count",
-    "shard_model",
     "DEFAULT_EMBEDDING_DIM",
 ]
 
@@ -81,33 +78,6 @@ def build_ranknet(
     r_emb, r_model = spawn(rng, 2)
     emb = build_embedding(technique, vocab_size, embedding_dim, rng=r_emb, **hyper)
     return RankNet(emb, input_length, num_items, dropout=dropout, rng=r_model)
-
-
-def shard_model(model, n_shards: int):
-    """Replace ``model.embedding`` with its hash-sharded equivalent in place.
-
-    The per-entity tables (MEmCom's ``V``/``W`` columns, the full table's
-    rows) move into :class:`repro.nn.sharding.ShardedTable` partitions
-    carrying the trained values; forward results are bit-identical and
-    optimizer steps match the monolithic model row for row
-    (``tests/nn/test_sharding.py``).  Already-sharded models pass through.
-    Returns ``model``.
-    """
-    emb = getattr(model, "embedding", None)
-    if emb is None:
-        raise TypeError(f"model {type(model).__name__} has no embedding to shard")
-    if isinstance(emb, (ShardedMEmComEmbedding, ShardedFullEmbedding)):
-        return model
-    if isinstance(emb, MEmComEmbedding):
-        model.embedding = ShardedMEmComEmbedding.from_monolithic(emb, n_shards)
-    elif isinstance(emb, FullEmbedding):
-        model.embedding = ShardedFullEmbedding.from_monolithic(emb, n_shards)
-    else:
-        raise TypeError(
-            f"no sharded variant for embedding type {type(emb).__name__}; "
-            "shardable techniques: full, memcom"
-        )
-    return model
 
 
 def model_param_count(

@@ -49,7 +49,6 @@ from repro.nn.serialization import (
     parameter_breakdown,
     save_npz,
 )
-from repro.nn.sharding import ShardedEmbedding, ShardedTable, shard_of_rows
 from repro.nn.sparse_grad import SparseRowGrad, sparse_grads, sparse_grads_enabled
 from repro.nn.tensor import DEFAULT_DTYPE, Parameter, Tensor, is_grad_enabled, no_grad
 
@@ -76,8 +75,6 @@ __all__ = [
     "SGD",
     "Scheduler",
     "Sequential",
-    "ShardedEmbedding",
-    "ShardedTable",
     "SparseRowGrad",
     "StepDecay",
     "Tensor",
@@ -97,7 +94,6 @@ __all__ = [
     "parameter_breakdown",
     "ranknet_loss",
     "save_npz",
-    "shard_of_rows",
     "softmax_cross_entropy",
     "sparse_grads",
     "sparse_grads_enabled",

@@ -136,10 +136,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def muladd(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     """Fused ``a * b + c`` with NumPy broadcasting.
 
-    One graph node and one output buffer instead of two.  The sharded
-    MEmCom layer composes ``U[j] ⊙ V[i] + W[i]`` (Algorithm 3) with it over
-    its routed lookups; the monolithic layer fuses the gathers as well, in
-    :func:`memcom_lookup`, which computes the same floats in the same order.
+    One graph node and one output buffer instead of two.  Over three
+    :func:`embedding_lookup`\\ s it is the unfused MEmCom graph
+    ``U[j] ⊙ V[i] + W[i]`` (Algorithm 3), the reference that
+    :func:`memcom_lookup` matches float for float in the same order.
     """
     out_data = a.data * b.data
     if out_data.shape == np.broadcast_shapes(out_data.shape, c.data.shape) and (

@@ -31,16 +31,6 @@ without its second gather.  Semantics (DESIGN.md §5):
 :func:`global_grad_norm` and :func:`clip_global_norm` consume sparse grads
 without densifying (the norm is over coalesced rows; clipping scales the
 value rows in place).
-
-Sharded apply
--------------
-A :class:`repro.nn.sharding.ShardedTable` may appear directly in a parameter
-list; :class:`Optimizer` expands it into its per-shard parameters, and each
-shard then rides the sparse branches above with its own state slices.  A
-sharded lookup routes every touched row to exactly one shard (local row
-numbering), so the per-shard sparse apply performs exactly the monolithic
-table's per-row update — shards no batch id hit carry no gradient and skip
-the step entirely.
 """
 
 from __future__ import annotations
@@ -61,34 +51,11 @@ __all__ = [
 ]
 
 
-def _expand_sharded(params: list) -> list[Parameter]:
-    """Replace any sharded table in ``params`` with its shard parameters.
-
-    Duck-typed on ``shard_parameters()`` (rather than importing
-    :mod:`repro.nn.sharding`) so the optimizer layer stays below sharding in
-    the import graph.
-    """
-    out: list[Parameter] = []
-    for p in params:
-        shard_parameters = getattr(p, "shard_parameters", None)
-        if shard_parameters is not None and not isinstance(p, Parameter):
-            out.extend(shard_parameters())
-        else:
-            out.append(p)
-    return out
-
-
 class Optimizer:
-    """Base optimizer over a fixed parameter list.
-
-    The list may mix plain :class:`Parameter`\\ s and
-    :class:`repro.nn.sharding.ShardedTable`\\ s; sharded tables expand into
-    their per-shard parameters (the sharded-apply path — each shard gets its
-    own optimizer state and rides the sparse branches independently).
-    """
+    """Base optimizer over a fixed parameter list."""
 
     def __init__(self, params: list[Parameter], lr: float) -> None:
-        params = _expand_sharded(list(params))
+        params = list(params)
         if not params:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
@@ -468,11 +435,10 @@ def global_grad_norm(params: list[Parameter]) -> float:
 
     Sparse grads contribute the norm of their coalesced rows — identical to
     the dense norm, since untouched rows are exactly zero — without ever
-    materializing the table-shaped gradient.  Sharded tables expand to their
-    shard parameters, same as :class:`Optimizer`.
+    materializing the table-shaped gradient.
     """
     total = 0.0
-    for p in _expand_sharded(list(params)):
+    for p in params:
         g = p.raw_grad
         if g is None:
             continue
@@ -494,7 +460,7 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    params = _expand_sharded(list(params))
+    params = list(params)
     norm = global_grad_norm(params)
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)

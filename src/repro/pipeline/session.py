@@ -470,26 +470,13 @@ class TrainSession:
         bits: int | None = None,
         percentile: float | None = None,
     ) -> ModelArtifact:
-        """Export the trained model as a serving artifact (spec defaults).
-
-        Sharding (``spec.shards``) is applied to a forward-bit-compatible
-        copy of the embedding for the export only — the session keeps its
-        monolithic tables so training can continue afterwards.
-        """
-        from repro.models.builder import shard_model
-
+        """Export the trained model as a serving artifact (spec defaults)."""
         bits = self.spec.bits if bits is None else bits
         percentile = self.spec.percentile if percentile is None else percentile
-        original_emb = None
         was_training = self.model.training
         try:
-            if self.spec.shards:
-                original_emb = self.model.embedding
-                shard_model(self.model, self.spec.shards)
             return save_artifact(self.model, path, bits=bits, percentile=percentile)
         finally:
-            if original_emb is not None:
-                self.model.embedding = original_emb
             self.model.train(was_training)
 
     def export_delta(
@@ -506,26 +493,17 @@ class TrainSession:
         artifact instead of the full table — unchanged payloads become
         parent references, sparse row changes become patches
         (:func:`repro.artifact.save_delta`), and a serving session adopts
-        the result via ``ServeSession.hot_swap(path)``.  Same
-        sharding-for-export semantics as :meth:`export`.
+        the result via ``ServeSession.hot_swap(path)``.
         """
-        from repro.models.builder import shard_model
-
         bits = self.spec.bits if bits is None else bits
         percentile = self.spec.percentile if percentile is None else percentile
-        original_emb = None
         was_training = self.model.training
         try:
-            if self.spec.shards:
-                original_emb = self.model.embedding
-                shard_model(self.model, self.spec.shards)
             return save_delta(
                 self.model, path, parent, touched_rows,
                 bits=bits, percentile=percentile,
             )
         finally:
-            if original_emb is not None:
-                self.model.embedding = original_emb
             self.model.train(was_training)
 
     def serve_session(self, config=None, **overrides):

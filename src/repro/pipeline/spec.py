@@ -27,7 +27,6 @@ __all__ = ["ARCHITECTURES", "PipelineSpec"]
 
 ARCHITECTURES = ("auto", "classifier", "pointwise", "ranknet")
 _VALID_BITS = (32, 8, 4)
-_SHARDABLE = ("full", "memcom")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class PipelineSpec:
     monitor:
         Evaluate the held-out split every epoch (needed for early stopping
         and LR plateaus; sweeps turn it off for speed).
-    bits / percentile / shards:
+    bits / percentile:
         Export defaults for :meth:`TrainSession.export`.
     """
 
@@ -86,7 +85,6 @@ class PipelineSpec:
     ndcg_k: int = 10
     bits: int = 32
     percentile: float | None = None
-    shards: int = 0
 
     def __post_init__(self) -> None:
         from repro.core.registry import available_techniques
@@ -133,13 +131,6 @@ class PipelineSpec:
             raise ValueError(f"bits must be one of {_VALID_BITS}, got {self.bits}")
         if self.percentile is not None and not 0.0 < self.percentile <= 100.0:
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
-        if self.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {self.shards}")
-        if self.shards and self.technique not in _SHARDABLE:
-            raise ValueError(
-                f"shards > 0 requires a shardable technique {_SHARDABLE}, "
-                f"got {self.technique!r}"
-            )
 
     # -- resolution -------------------------------------------------------------
 
@@ -243,6 +234,12 @@ class PipelineSpec:
         if not isinstance(data, dict):
             raise ValueError(f"pipeline spec manifest must be a dict, got {type(data).__name__}")
         payload = dict(data)
+        # Older manifests carry "shards": 0, which selected nothing.
+        if payload.pop("shards", 0) != 0:
+            raise ValueError(
+                f"pipeline spec manifest sets shards={data['shards']!r}, but sharded "
+                "export was removed; drop the field to export one monolithic table"
+            )
         try:
             train = TrainConfig(**payload.pop("train"))
             dp_data = payload.pop("dp", None)

@@ -8,7 +8,7 @@ weights at 8/4 bits.  :mod:`repro.device.quantize` *simulates* that
   packed two-codes-per-byte with unpack-on-gather;
 * :func:`quantize_embedding` — calibration (per-row absmax, optional
   percentile clipping) converting any per-id ``CompressedEmbedding`` —
-  sharded and composed ones included — into :class:`QuantizedEmbedding`
+  composed ones included — into :class:`QuantizedEmbedding`
   storage: one path for every technique, which stores each table of the
   technique's frozen form (:mod:`repro.core.frozen`) as codes + scales;
 * fused gather→dequantize kernels (:mod:`repro.quant.kernels`) whose

@@ -11,16 +11,15 @@ resident bytes are codes plus scales for every technique.  Serving
 evaluates the same form over dequantized gathers:
 
 * a form that is **one gather** (full, reduce_dim, truncate_rare, hash,
-  plain and sharded ``nn.Embedding``) hands back the *stored* codes of the
-  gathered rows — one rounding, end to end;
+  ``nn.Embedding``) hands back the *stored* codes of the gathered rows —
+  one rounding, end to end;
 * a **composed** form composes FP32 rows from the dequantized tables, op
   for op as the module's forward, and *row-quantizes* them, so the cache
   of codes stores the composed row and hits and misses decode the same
   ``(codes, scale)``.
 
-Sharded variants reassemble row-exact before calibration, so they quantize
-to the codes of their monolithic forms.  The pooled one-hot encoder has no
-per-row output and cannot be served quantized.
+The pooled one-hot encoder has no per-row output and cannot be served
+quantized.
 
 ``QuantizedEmbedding.dequantized()`` materializes the exact served rows
 into a plain FP32 :class:`~repro.core.full.FullEmbedding` — the reference a
@@ -36,7 +35,6 @@ import numpy as np
 from repro.core.base import CompressedEmbedding
 from repro.core.frozen import FrozenForm, Gather, compose, index_rows
 from repro.core.full import FullEmbedding
-from repro.nn.sharding import ShardedTable
 from repro.quant.kernels import decode_rows, encode_rows
 from repro.quant.table import SUPPORTED_STORAGE_BITS, QuantizedTable
 
@@ -180,9 +178,8 @@ def quantize_embedding(
         )
     tables = {}
     for name, table in form.tables.items():
-        dense = table.dense() if isinstance(table, ShardedTable) else table.data
         # per-row scales unless a single column (see the module docstring)
         tables[name] = QuantizedTable.from_dense(
-            dense, bits, percentile=percentile, per_row=dense.shape[1] > 1
+            table.data, bits, percentile=percentile, per_row=table.data.shape[1] > 1
         )
     return QuantizedEmbedding(replace(form, tables=tables), bits, percentile)

@@ -13,26 +13,22 @@ The embedding stage serves the technique's frozen form
 tables, gathers and one combine, and this module evaluates it over
 snapshots of the tables — one path for every technique, no module
 fallback.  A read-only (mmap-backed) table is its own snapshot, so a
-mapped artifact is served without copying its tables.  Two more
-mechanisms ride on it:
+mapped artifact is served without copying its tables.
 
-* **Sharded tables** (:class:`repro.nn.sharding.ShardedTable`) are served
-  through the same routed per-shard gather they train with — the bytes read
-  are identical to a monolithic gather, the addressing is per-shard.
-* An optional **LRU hot-row cache** (:class:`repro.serve.cache.LRUCache`)
-  keyed on id stores *composed* embedding rows.  Each batch coalesces its
-  ids, serves hits from the cache, computes only the misses and inserts
-  them.  Because embedding composition is per-id (every technique except the
-  pooled one-hot encoder), a cached row is byte-for-byte the row the miss
-  path computes.  A hit costs a lookup, an insert and a row copy, so the
-  engine builds a requested cache only where a miss costs more: a static
-  rule over the plan's form and width (:func:`_cache_declined`, measured in
-  DESIGN.md §6) keeps it for TT contractions, masked projections and
-  re-quantized composed rows, and serves one-gather and FP32
-  gather-plus-elementwise plans uncached.
+An optional **LRU hot-row cache** (:class:`repro.serve.cache.LRUCache`)
+keyed on id stores *composed* embedding rows.  Each batch coalesces its
+ids, serves hits from the cache, computes only the misses and inserts
+them.  Because embedding composition is per-id (every technique except the
+pooled one-hot encoder), a cached row is byte-for-byte the row the miss
+path computes.  A hit costs a lookup, an insert and a row copy, so the
+engine builds a requested cache only where a miss costs more: a static
+rule over the plan's form and width (:func:`_cache_declined`, measured in
+DESIGN.md §6) keeps it for TT contractions, masked projections and
+re-quantized composed rows, and serves one-gather and FP32
+gather-plus-elementwise plans uncached.
 
-A third mechanism is the **quantized plan** (``bits=8`` or ``bits=4``): the
-embedding is calibrated into :class:`repro.quant.QuantizedEmbedding`
+In the **quantized plan** (``bits=8`` or ``bits=4``) the embedding is
+calibrated into :class:`repro.quant.QuantizedEmbedding`
 integer storage — every form table as int8 codes + scales (int4 packs two
 codes per byte) — rows are served through the fused gather→dequantize
 kernels, and the hot-row cache becomes a :class:`repro.serve.cache.QuantizedRowCache` that
@@ -59,7 +55,6 @@ can assemble the identical closure chain from an on-disk
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -67,8 +62,6 @@ import numpy as np
 from repro.artifact.errors import ArtifactFormatError
 from repro.artifact.plan import TowerPlan, build_tower, tower_plan_of
 from repro.core.frozen import compose
-from repro.nn.sharding import ShardedTable
-from repro.nn.tensor import Parameter
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
 from repro.quant.kernels import decode_rows
 from repro.serve.cache import LRUCache, QuantizedRowCache
@@ -92,22 +85,14 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
 
 
 def _freeze_table(table) -> tuple["callable", int]:
-    """``(take, nbytes)``: a row getter over a snapshot of a Parameter or
-    ShardedTable, and the snapshot's bytes.
+    """``(take, nbytes)``: a row getter over a snapshot of a Parameter, and
+    the snapshot's bytes.
 
     ``ids=None`` returns the whole table (a projection weight).  A gather
     is a plain ``take`` into a fresh array: it raises on an out-of-range
     row, and numpy's ``take(out=)`` would copy ``out`` into a temporary and
-    back rather than save the allocation.  Sharded tables keep their
-    partitioned layout: lookups route per shard, exactly as a multi-host
-    deployment would, returning the same bytes a monolithic gather yields.
+    back rather than save the allocation.
     """
-    if isinstance(table, ShardedTable):
-        # The routing is fixed by the table's shape; only the shard
-        # payloads need freezing, and the table's own routed gather serves.
-        frozen = copy.copy(table)
-        frozen.shards = [Parameter(_snapshot(p.data), p.name) for p in table.shards]
-        return frozen.take_rows, sum(p.data.nbytes for p in frozen.shards)
     arr = _snapshot(table.data)
 
     def take_dense(ids: np.ndarray | None) -> np.ndarray:

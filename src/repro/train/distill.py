@@ -61,8 +61,8 @@ def teacher_spec_for(spec):
     """The inline-teacher :class:`~repro.pipeline.PipelineSpec` of ``spec``.
 
     A full-table FP32 model on the same dataset/architecture/seed — the
-    strongest same-capacity reference — with the student's distillation,
-    sharding and quantized-export knobs stripped.  Both the sweep runner
+    strongest same-capacity reference — with the student's distillation
+    and quantized-export knobs stripped.  Both the sweep runner
     (which pre-trains one shared teacher per grid) and
     ``TrainSession``'s inline fallback derive the teacher from this one
     function, so the two paths produce bit-identical logits.
@@ -78,7 +78,6 @@ def teacher_spec_for(spec):
         technique="full",
         hyper={},
         distill=None,
-        shards=0,
         bits=32,
         percentile=None,
         train=train,

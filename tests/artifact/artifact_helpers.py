@@ -106,3 +106,20 @@ def legacy_module_mode(src: str, dst: str) -> str:
     with open(path, "w") as fh:
         json.dump(manifest, fh)
     return dst
+
+
+def legacy_sharded_spec(src: str, dst: str) -> str:
+    """Rewrite the FP32 full or memcom container at ``src`` as a hash-sharded
+    export recorded it: the same rebuild spec under ``ShardedFullEmbedding``
+    or ``ShardedMEmComEmbedding`` with ``n_shards``.  Only the spec matters;
+    the reader refuses before it reads any state."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    spec = manifest["embedding"]["spec"]
+    assert spec["class"] in ("FullEmbedding", "MEmComEmbedding"), spec
+    spec.update({"class": "Sharded" + spec["class"], "n_shards": 4})
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    return dst

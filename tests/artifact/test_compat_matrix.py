@@ -16,7 +16,12 @@ import sys
 import numpy as np
 import pytest
 
-from artifact_helpers import downgrade, legacy_module_mode, legacy_quant_layout
+from artifact_helpers import (
+    downgrade,
+    legacy_module_mode,
+    legacy_quant_layout,
+    legacy_sharded_spec,
+)
 from repro.artifact import load_artifact, save_artifact
 from repro.artifact.errors import ArtifactFormatError, ArtifactVersionError
 from repro.serve.session import ServeConfig, ServeSession
@@ -183,3 +188,40 @@ class TestLegacyQuantizedSections:
         old = legacy_module_mode(fp32, str(tmp_path / "module"))
         with pytest.raises(ArtifactFormatError, match="'hash'.*re-export it from the FP32"):
             ServeSession.load(old)
+
+
+class TestLegacyShardedSpec:
+    """FP32 containers of a hash-sharded export record a sharded rebuild
+    spec.  Sharded layouts are gone, so both readers fail typed and ask for
+    a re-export instead of naming an unknown class."""
+
+    @pytest.fixture(params=["full", "memcom"])
+    def sharded(self, request, tmp_path):
+        from repro.models.builder import build_pointwise_ranker
+
+        hyper = {"num_hash_embeddings": 32} if request.param == "memcom" else {}
+        model = build_pointwise_ranker(
+            request.param, VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
+            rng=0, **hyper,
+        )
+        fp32 = str(tmp_path / "fp32")
+        save_artifact(model, fp32)
+        return legacy_sharded_spec(fp32, str(tmp_path / "sharded"))
+
+    def test_sharded_fp32_spec_fails_typed(self, sharded):
+        with pytest.raises(ArtifactFormatError, match="re-export"):
+            ServeSession.load(sharded)
+        with pytest.raises(ArtifactFormatError, match="re-export"):
+            load_artifact(sharded).serving_embedding()
+
+    def test_serve_bench_on_sharded_fp32_export_is_one_line_error(
+        self, sharded, capsys
+    ):
+        from repro.cli import main
+
+        code = main(["serve-bench", "--artifact", sharded, "--requests", "16",
+                     "--batch-size", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "re-export" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

@@ -1,8 +1,7 @@
 """Artifact round-trips serve bit-identical predictions.
 
 The acceptance matrix of the serving-artifact redesign: for every technique
-(full, MEmCom, TT-Rec, their sharded variants, a module-fallback technique
-and the pooled one-hot encoder) × ``n_shards ∈ {1, 3, 8}`` ×
+(full, MEmCom, TT-Rec, composed forms and the pooled one-hot encoder) ×
 ``bits ∈ {32, 8, 4}``, ``ServeSession.load(save_artifact(model))`` must
 produce the same bytes as the in-memory :class:`InferenceEngine` on the
 same requests — not close, *equal*: the artifact stores either exact FP32
@@ -18,7 +17,6 @@ from repro.models.builder import (
     build_classifier,
     build_pointwise_ranker,
     build_ranknet,
-    shard_model,
 )
 from repro.serve.engine import InferenceEngine
 from repro.serve.session import ServeConfig, ServeSession
@@ -32,7 +30,7 @@ _HYPER = {
     "full": {},
     "memcom": {"num_hash_embeddings": 32},
     "tt_rec": {"tt_rank": 4},
-    "qr_mult": {"num_hash_embeddings": 32},       # quantized module fallback
+    "qr_mult": {"num_hash_embeddings": 32},       # composed: two gathers, mul
     "double_hash": {"num_hash_embeddings": 32},   # salted hashing, buffers matter
     "factorized": {"hidden_dim": 4},
     "hashed_onehot": {"num_hash_embeddings": 64},  # pooled: FP32 only
@@ -71,20 +69,12 @@ class TestMatrix:
     def test_core_techniques(self, tmp_path, technique, bits):
         _assert_roundtrip(_model(technique), tmp_path, bits)
 
-    @pytest.mark.parametrize("technique", ["full", "memcom"])
-    @pytest.mark.parametrize("n_shards", [1, 3, 8])
-    @pytest.mark.parametrize("bits", [32, 8, 4])
-    def test_sharded_variants(self, tmp_path, technique, n_shards, bits):
-        model = _model(technique)
-        if n_shards > 1:
-            model = shard_model(model, n_shards)
-        _assert_roundtrip(model, tmp_path, bits)
-
     @pytest.mark.parametrize("technique", ["qr_mult", "double_hash", "factorized"])
     @pytest.mark.parametrize("bits", [32, 8])
-    def test_module_fallback_techniques(self, tmp_path, technique, bits):
-        """Techniques without dedicated storage round-trip via spec + state
-        (including the hash salts, which travel as state-dict buffers)."""
+    def test_composed_form_techniques(self, tmp_path, technique, bits):
+        """Composed forms round-trip at FP32 through spec + state (the hash
+        salts travel as state-dict buffers) and at int8 through their forms'
+        codes (the salts travel in the forms' index maps)."""
         _assert_roundtrip(_model(technique), tmp_path, bits)
 
     def test_pooled_onehot_fp32(self, tmp_path):

@@ -288,7 +288,41 @@ class TestCheckpointErrors:
             )
 
 
+def _with_spec_field(path: str, key: str, value) -> None:
+    """Add ``key: value`` to the pipeline spec stored in the checkpoint at
+    ``path``, as an older writer recorded it."""
+    manifest_path = os.path.join(path, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    manifest["checkpoint"]["meta"]["spec"][key] = value
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+
+
 class TestVersionCompat:
+    def test_checkpoint_with_older_spec_resumes_bit_identically(self, tmp_path):
+        """Checkpoints written while sharded export existed store
+        ``"shards": 0`` in their spec; it selected nothing, so they resume
+        and finish exactly as an uninterrupted run."""
+        spec = tiny_spec(epochs=2)
+        uninterrupted = TrainSession(spec)
+        uninterrupted.fit()
+        path = str(tmp_path / "ckpt")
+        TrainSession(spec).fit(
+            checkpoint_path=path, checkpoint_every=1, stop_after_epoch=1
+        )
+        _with_spec_field(path, "shards", 0)
+        resumed = TrainSession.resume(path)
+        assert resumed.spec == spec
+        resumed.fit()
+        _assert_bit_identical(uninterrupted, resumed, "older spec")
+
+    def test_checkpoint_asking_for_sharded_export_is_typed(self, tmp_path, spec):
+        path = str(tmp_path / "ckpt")
+        TrainSession(spec).fit(checkpoint_path=path)
+        _with_spec_field(path, "shards", 4)
+        with pytest.raises(ArtifactFormatError, match="shards=4.*removed"):
+            TrainSession.resume(path)
+
     def test_v1_artifacts_still_load(self, tmp_path, spec):
         """A PR 4 container (format_version 1, no checkpoint) must keep
         loading and serving under the v2 runtime."""

@@ -98,19 +98,6 @@ class TestExportAndServe:
         artifact = session.export(str(tmp_path / "a"))
         assert artifact.bits == 8
 
-    def test_sharded_export_keeps_session_monolithic(self, tmp_path):
-        from repro.core.memcom import MEmComEmbedding
-
-        session = TrainSession(tiny_spec(shards=2, epochs=1))
-        session.fit()
-        path = str(tmp_path / "sharded")
-        session.export(path)
-        assert type(session.model.embedding) is MEmComEmbedding
-        loaded = ServeSession.load(path)
-        probe = session.data.x_eval[:16]
-        direct = ServeSession.from_model(session.model)
-        assert np.array_equal(loaded.predict(probe), direct.predict(probe))
-
     def test_serve_session_matches_model(self, spec):
         session = TrainSession(spec)
         session.fit()

@@ -29,7 +29,6 @@ class TestValidation:
             {"ndcg_k": 0},
             {"bits": 16},
             {"percentile": 150.0},
-            {"shards": -1},
         ],
     )
     def test_each_bad_field_raises(self, overrides):
@@ -37,12 +36,6 @@ class TestValidation:
         fields.update(overrides)
         with pytest.raises(ValueError):
             PipelineSpec(**fields)
-
-    def test_shards_require_shardable_technique(self):
-        with pytest.raises(ValueError, match="shardable"):
-            PipelineSpec(dataset="movielens", technique="tt_rec",
-                         hyper={"tt_rank": 2}, shards=4)
-        PipelineSpec(dataset="movielens", technique="memcom", shards=4)
 
     def test_train_and_dp_must_be_configs(self):
         with pytest.raises(ValueError):
@@ -88,7 +81,7 @@ class TestManifest:
     def test_round_trip_identity(self):
         spec = tiny_spec(
             technique="tt_rec", optimizer="sgd", dp=DPConfig(0.5, l2_clip=2.0),
-            shards=0, bits=8, percentile=99.9,
+            bits=8, percentile=99.9,
         )
         rebuilt = PipelineSpec.from_manifest(spec.to_manifest())
         assert rebuilt == spec
@@ -114,6 +107,24 @@ class TestManifest:
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
             PipelineSpec.from_manifest("movielens")
+
+    def test_older_manifest_with_unsharded_export_loads(self):
+        # Manifests from before sharded export was removed carry "shards": 0.
+        spec = tiny_spec(bits=8)
+        assert PipelineSpec.from_manifest({**spec.to_manifest(), "shards": 0}) == spec
+
+    def test_older_manifest_with_sharded_export_rejected(self):
+        data = {**tiny_spec().to_manifest(), "shards": 4}
+        with pytest.raises(ValueError, match="shards=4.*removed"):
+            PipelineSpec.from_manifest(data)
+
+    def test_older_sweep_manifest_reopens(self):
+        from repro.sweep import SweepSpec
+
+        sweep = SweepSpec(base=tiny_spec(), axes={"bits": [32, 8]}, budget_bytes=1 << 20)
+        data = sweep.to_manifest()
+        data["base"] = {**data["base"], "shards": 0}
+        assert SweepSpec.from_manifest(data) == sweep
 
 
 class TestBuilders:

@@ -5,7 +5,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core.full import FullEmbedding
 from repro.core.memcom import MEmComEmbedding
 from repro.core.onehot import HashedOneHotEncoder
 from repro.core.registry import available_techniques, build_embedding
@@ -123,16 +122,6 @@ class TestQuantizeEmbedding:
         assert tables["shared"].per_row and not tables["multiplier"].per_row
         # storage must beat FP32 on every component incl. the (v, 1) columns
         assert tables["multiplier"].nbytes < V * 4
-
-    def test_sharded_equals_monolithic_codes(self):
-        for build, shard in (
-            (lambda: FullEmbedding(V, E, rng=3), lambda e: e.to_sharded(3)),
-            (lambda: MEmComEmbedding(V, E, 32, rng=3), lambda e: e.to_sharded(3)),
-        ):
-            mono = quantize_embedding(build(), 8)
-            shrd = quantize_embedding(shard(build()), 8)
-            ids = np.arange(V)
-            np.testing.assert_array_equal(mono.rows(ids), shrd.rows(ids))
 
     def test_tt_rec_mode_contracts_quantized_cores(self):
         emb = TTRecEmbedding(V, E, 4, rng=1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import available_techniques, default_hyper
-from repro.models.builder import build_pointwise_ranker, shard_model
+from repro.models.builder import build_pointwise_ranker
 from repro.serve import InferenceEngine, ServeConfig, ServeSession
 
 V, L, E, C = 240, 6, 16, 8
@@ -25,14 +25,10 @@ ELEMENTWISE = {
 COSTLY = {"tt_rec", "mixed_dim", "freq_double_hash"}
 
 CASES = [
-    pytest.param(technique, 0, bits, id=f"{technique}-{bits}")
+    pytest.param(technique, bits, id=f"{technique}-{bits}")
     for technique in sorted(available_techniques())
     for bits in (32, 8, 4)
     if technique != "hashed_onehot" or bits == 32  # pooled: FP32 only
-] + [
-    pytest.param(technique, 3, bits, id=f"sharded-{technique}-{bits}")
-    for technique in ("memcom", "full")
-    for bits in (32, 8, 4)
 ]
 
 
@@ -50,14 +46,13 @@ def test_every_technique_is_classified():
     )
 
 
-@pytest.mark.parametrize("technique, shards, bits", CASES)
-def test_cache_is_built_exactly_where_it_pays(technique, shards, bits):
+@pytest.mark.parametrize("technique, bits", CASES)
+def test_cache_is_built_exactly_where_it_pays(technique, bits):
     def build():
-        model = build_pointwise_ranker(
+        return build_pointwise_ranker(
             technique, V, C, input_length=L, embedding_dim=E, rng=1,
             **default_hyper(technique, V, E, hash_fraction=8),
         )
-        return shard_model(model, shards) if shards else model
 
     session = ServeSession.from_model(
         build(), ServeConfig(bits=None if bits == 32 else bits, cache_rows=64)

@@ -5,8 +5,7 @@ forward operation for operation: composed rows are asserted *bitwise*
 against the module per id, whole-batch predictions to tight allclose (the
 tower's GEMMs may pick different BLAS kernels than eager by batch shape).
 Also pinned: freezing snapshots weights (later training must not change
-engine outputs), sharded engines serve through the routed layout, and
-input validation mirrors the models'.
+engine outputs), and input validation mirrors the models'.
 """
 
 import gc
@@ -20,7 +19,6 @@ from repro.models.builder import (
     build_classifier,
     build_pointwise_ranker,
     build_ranknet,
-    shard_model,
 )
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import SGD
@@ -122,14 +120,6 @@ class TestEngineMatchesEager:
         engine = InferenceEngine(model)
         x = rng.integers(0, V, size=(6, L))
         np.testing.assert_array_equal(engine.predict(x), _eager(model, x))
-
-    def test_sharded_model_served_through_routed_layout(self):
-        mono = _model("pointwise", "memcom")
-        x = np.random.default_rng(3).integers(0, V, size=(4, L))
-        want = _eager(mono, x)
-        sharded = shard_model(_model("pointwise", "memcom"), 5)
-        engine = InferenceEngine(sharded)
-        np.testing.assert_array_equal(engine.predict(x), want)
 
     def test_plan_is_a_snapshot(self):
         """Training the live model must not change the frozen plan."""

@@ -12,6 +12,8 @@ The tentpole guarantees under test:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -124,6 +126,45 @@ class TestCrashResume:
         resume(out, workers=0)
         assert {n: os.stat(os.path.join(marker, n)).st_mtime_ns
                 for n in os.listdir(marker)} == stamps
+
+
+class TestOlderLedger:
+    def test_older_ledger_reruns_under_current_ids(self, tmp_path):
+        """Ledgers written while sharded export existed carry ``"shards": 0``
+        in the base spec, and every point id hashed that key.  Such a sweep
+        reopens, resume re-runs its points under the current ids, and the
+        report reads only those."""
+        from repro.pipeline import PipelineSpec
+        from repro.sweep.ledger import SweepLedger
+
+        def older_id(spec):
+            blob = json.dumps({**spec.to_manifest(), "shards": 0},
+                              sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+        assert older_id(PipelineSpec(dataset="movielens")) == "05762bcce9c9"
+        sweep = SweepSpec(base=sweep_base(), axes={"bits": [32]})
+        out = str(tmp_path / "older")
+        run(sweep, out, workers=0)
+        ((pid, point),) = sweep.expand()
+        stale = older_id(point)
+        assert stale != pid
+        points = os.path.join(out, "points")
+        os.rename(os.path.join(points, f"{pid}.json"),
+                  os.path.join(points, f"{stale}.json"))
+        marker = os.path.join(out, "sweep.json")
+        with open(marker) as fh:
+            manifest = json.load(fh)
+        manifest["base"]["shards"] = 0
+        with open(marker, "w") as fh:
+            json.dump(manifest, fh)
+
+        assert SweepLedger.open(out).spec == sweep
+        with pytest.raises(SweepIncompleteError):
+            build_report(out)
+        resume(out, workers=0)
+        assert SweepLedger.open(out).completed_ids() == {pid, stale}
+        assert [row["point_id"] for row in build_report(out).rows] == [pid]
 
 
 class TestGuardRails:

@@ -206,7 +206,6 @@ class TestServeBenchValidation:
             (("--cache-min-count", "0"), "cache_min_count"),
             (("--cache-ttl-batches", "0"), "cache_ttl_batches"),
             (("--alpha", "-0.5"), "--alpha"),
-            (("--shards", "0"), "--shards"),
         ],
     )
     def test_each_bad_value_names_its_flag(self, capsys, flags, fragment):
@@ -235,7 +234,7 @@ class TestArtifactCommands:
 
     def test_export_then_serve_bench_artifact(self, tmp_path, capsys):
         out = str(tmp_path / "artifact")
-        assert self._export(out, "--bits", "8", "--shards", "2") == 0
+        assert self._export(out, "--bits", "8") == 0
         stdout = capsys.readouterr().out
         assert "ModelArtifact" in stdout and "verified: reload OK" in stdout
         code = main(
@@ -254,6 +253,16 @@ class TestArtifactCommands:
     def test_export_validates_arguments(self, tmp_path, capsys):
         assert self._export(str(tmp_path / "a"), "--vocab", "-1") == 2
         assert "--vocab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve-bench", "export-artifact"])
+    def test_shards_flag_is_gone(self, tmp_path, capsys, command):
+        # Every table is one monolithic table; --shards no longer parses.
+        extra = [str(tmp_path / "a")] if command == "export-artifact" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--shards", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_serve_bench_cache_rows_zero_disables_cache(self, capsys):
         code = main(
@@ -281,7 +290,7 @@ class TestServeBenchChecksums:
     def test_one_checksum_per_width(self, capsys):
         assert main(self.ARGS) == 0
         sums = self._checksums(capsys.readouterr().out)
-        fp32 = ["monolithic", "monolithic+cache", "sharded x4", "sharded x4+cache"]
+        fp32 = ["monolithic", "monolithic+cache"]
         assert sorted(sums) == sorted(fp32 + ["int8", "int8+cache"])
         assert len({sums[label] for label in fp32}) == 1
         assert sums["int8"] == sums["int8+cache"] != sums["monolithic"]
@@ -315,8 +324,7 @@ class TestServeBenchDeclinedCache:
     def test_memcom_prints_the_reason(self, capsys):
         assert main([*self.ARGS, "--technique", "memcom"]) == 0
         out = capsys.readouterr().out
-        for label in ("monolithic+cache", "sharded x4+cache"):
-            assert f"{label}: cache declined: an FP32 row is gathers plus add/mul" in out
+        assert "monolithic+cache: cache declined: an FP32 row is gathers plus add/mul" in out
 
     def test_tt_rec_still_prints_a_hit_rate(self, capsys):
         assert main([*self.ARGS, "--technique", "tt_rec"]) == 0
@@ -347,14 +355,6 @@ class TestServeBenchEveryTechnique:
         )
         ratio = float(line.split("(")[1].split("×")[0])
         assert ratio <= 0.35, line
-
-    def test_export_shards_of_an_unshardable_technique_is_a_clean_error(
-        self, tmp_path, capsys
-    ):
-        code = main(["export-artifact", str(tmp_path / "a"), "--technique", "hash",
-                     "--vocab", "400", "--embedding-dim", "8", "--shards", "2"])
-        err = capsys.readouterr().err
-        assert code == 2 and "no sharded variant" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["serve-bench", "export-artifact"])
     @pytest.mark.parametrize("bits", ["8", "4"])

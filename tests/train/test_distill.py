@@ -164,7 +164,7 @@ class TestTeacherSpec:
         assert teacher.technique == "full"
         assert teacher.hyper == {}
         assert teacher.distill is None
-        assert teacher.bits == 32 and teacher.shards == 0
+        assert teacher.bits == 32 and teacher.percentile is None
         assert teacher.dataset == spec.dataset and teacher.seed == spec.seed
 
     def test_teacher_epochs_override(self):
