@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--bits", type=int, choices=(32, 8, 4), default=32,
         help="also serve the repro.quant integer-storage plan at this width "
-        "(quantized tables + cache of codes) alongside the FP32 engines; "
+        "(quantized tables, rows composed in FP32) alongside the FP32 engines; "
         "with --artifact, 8/4 quantize an FP32 artifact on load (32 = the "
         "artifact's native width)",
     )
@@ -1190,7 +1190,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             sessions["monolithic+cache"] = ServeSession.from_model(build(), cached_cfg)
             if args.bits != 32:
                 # The repro.quant integer-storage plan: quantized tables served
-                # via fused gather→dequant, LRU cache of codes (DESIGN.md §7).
+                # via fused gather→dequant, rows composed in FP32 (DESIGN.md §7).
                 label = f"int{args.bits}"
                 sessions[label] = ServeSession.from_model(
                     build(), dc_replace(base, bits=args.bits)

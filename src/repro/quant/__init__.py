@@ -15,8 +15,8 @@ weights at 8/4 bits.  :mod:`repro.device.quantize` *simulates* that
   outputs are bit-identical between the single-row and batched paths.
 
 The serving integration lives in :mod:`repro.serve` (``InferenceEngine``'s
-``bits=8|4`` plan and the cache-of-codes) and :mod:`repro.device.export`
-(honest packed payload sizes).  See DESIGN.md §7.
+``bits=8|4`` plan, which composes rows in FP32 over the decoded tables) and
+:mod:`repro.device.export` (honest packed payload sizes).  See DESIGN.md §7.
 """
 
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding

@@ -8,22 +8,23 @@ each table of the technique's frozen form (:mod:`repro.core.frozen`) as a
 per-tensor scale for a single column (MEmCom's ``(v, 1)`` multiplier and
 bias, where a 4-byte per-row scale would outweigh the 1-byte payload) — so
 resident bytes are codes plus scales for every technique.  Serving
-evaluates the same form over dequantized gathers:
+evaluates the same form over the decoded tables, in FP32:
 
 * a form that is **one gather** (full, reduce_dim, truncate_rare, hash,
-  ``nn.Embedding``) hands back the *stored* codes of the gathered rows —
-  one rounding, end to end;
-* a **composed** form composes FP32 rows from the dequantized tables, op
-  for op as the module's forward, and *row-quantizes* them, so the cache
-  of codes stores the composed row and hits and misses decode the same
-  ``(codes, scale)``.
+  ``nn.Embedding``) serves the *stored* codes of the gathered rows;
+* a **composed** form composes FP32 rows from the decoded tables, op for
+  op as the module's forward, and serves them as they are.
+
+Either way a row is rounded once, at calibration: weights stored
+quantized, arithmetic in FP32, as the paper's on-device setting and
+:mod:`repro.device.export` assume.
 
 The pooled one-hot encoder has no per-row output and cannot be served
 quantized.
 
 ``QuantizedEmbedding.dequantized()`` materializes the exact served rows
 into a plain FP32 :class:`~repro.core.full.FullEmbedding` — the reference a
-quantized engine must match bit-for-bit (same rounding path, FP32 tower).
+quantized engine must match bit-for-bit (same composition, FP32 tower).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
-from repro.core.frozen import FrozenForm, Gather, compose, index_rows
+from repro.core.frozen import FrozenForm, compose
 from repro.core.full import FullEmbedding
-from repro.quant.kernels import decode_rows, encode_rows
 from repro.quant.table import SUPPORTED_STORAGE_BITS, QuantizedTable
 
 __all__ = ["QuantizedEmbedding", "quantize_embedding"]
@@ -104,46 +104,24 @@ class QuantizedEmbedding:
         )
         return cls(form, int(meta["bits"]), meta.get("percentile"))
 
-    # -- row composition --------------------------------------------------------
+    # -- reference / accounting -------------------------------------------------
 
     def _gather(self, name: str, rows) -> np.ndarray:
         table = self.form.tables[name]
         return table.dense() if rows is None else table.gather(rows)
 
-    def encode(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Storage-form ``(codes, scales)`` for each id — the cache payload.
-
-        A single-gather form hands back the *stored* codes (no recompute,
-        single rounding); composed forms quantize the freshly composed rows.
-        """
-        flat = np.asarray(flat).ravel()
-        root = self.form.root
-        if isinstance(root, Gather):
-            return self.form.tables[root.table].gather_codes(index_rows(root.index, flat))
-        return encode_rows(compose(self.form, self._gather, flat), self.bits)
-
-    def rows(self, flat: np.ndarray) -> np.ndarray:
-        """Served FP32 rows: ``decode(encode(ids))``.
-
-        Single-row and batched calls run the same elementwise decode, so
-        row values never depend on batch grouping.
-        """
-        codes, scales = self.encode(flat)
-        return decode_rows(codes, scales, self.bits, self.output_dim)
-
-    # -- reference / accounting -------------------------------------------------
-
     def dequantized(self) -> FullEmbedding:
         """Materialize the exact served rows as an FP32 ``FullEmbedding``.
 
-        Serving this through a plain FP32 engine is the bit-for-bit
-        reference for the quantized engine (same rounding path; the tower
-        is FP32 in both).
+        Each row is the form composed over the decoded tables, as the
+        quantized engine composes it, so serving this through a plain FP32
+        engine is the bit-for-bit reference for the quantized engine (the
+        tower is FP32 in both).
         """
         table = np.empty((self.vocab_size, self.output_dim), dtype=np.float32)
         for start in range(0, self.vocab_size, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, self.vocab_size))
-            table[ids] = self.rows(ids)
+            table[ids] = compose(self.form, self._gather, ids)
         out = FullEmbedding(self.vocab_size, self.output_dim, rng=0)
         out.table.data = table
         return out

@@ -7,17 +7,19 @@ time::
 
     scale[i] = absmax(w[i]) / (2^(bits−1) − 1)
     code[i]  = clip(round(w[i] / scale[i]), −qmax−1, qmax)
-    row[i]   = code[i] · scale[i]                    # the served FP32 value
+    row[i]   = code[i] · scale[i]                    # the decoded FP32 row
 
-so the served value of every row is exactly representable as
-``(codes, scale)`` and decoding is a single fused multiply.  int8 codes are
+so every decoded *table* row is exactly ``code · scale`` and decoding is a
+single fused multiply.  A one-gather form serves that row as it is; a
+composed form serves the FP32 composition of such rows, which has no
+``(codes, scale)`` form of its own (DESIGN.md §7).  int8 codes are
 stored as one ``int8`` per element; int4 codes pack two per byte (low
 nibble first, biased by +8 into ``[0, 15]``) and unpack on gather.
 
-Determinism contract (the serving engine and the row cache both rely on
-it): ``decode_rows`` is elementwise, so decoding any subset of rows —
-single row, batch, cache hit, cache miss splice — produces bit-identical
-floats from the same ``(codes, scale)``.
+Determinism contract (the serving engine relies on it): ``decode_rows``
+is elementwise, so decoding any subset of rows — a single row, a batch,
+the whole table — produces bit-identical floats from the same
+``(codes, scale)``.
 
 Calibration may clip outliers: with ``percentile=p`` the scale derives from
 the p-th percentile of each row's magnitudes instead of the max, and the
@@ -112,11 +114,7 @@ def encode_rows(
 
 
 def decode_rows(
-    codes: np.ndarray,
-    scales: np.ndarray,
-    bits: int,
-    dim: int,
-    out: np.ndarray | None = None,
+    codes: np.ndarray, scales: np.ndarray, bits: int, dim: int
 ) -> np.ndarray:
     """Fused unpack→dequantize gather tail: ``(n, dim)`` FP32 rows.
 
@@ -128,8 +126,7 @@ def decode_rows(
         unpacked = unpack_int4(codes, dim)
     else:
         unpacked = codes
-    if out is None:
-        out = np.empty((unpacked.shape[0], dim), dtype=np.float32)
+    out = np.empty((unpacked.shape[0], dim), dtype=np.float32)
     # One broadcast multiply: row = code · scale (the int8→float32 cast is
     # exact and happens inside the ufunc — no (n, dim) temp, no scale copy).
     scales = np.asarray(scales, dtype=np.float32)

@@ -116,14 +116,6 @@ class QuantizedTable:
             return self.scales[ids]
         return np.broadcast_to(self.scales, (ids.size,))
 
-    def gather_codes(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Storage-form codes + per-row scales of the requested rows.
-
-        The cache-of-codes path: what gets stored per cached row.
-        """
-        ids = np.asarray(ids).ravel()
-        return self.codes[ids], np.ascontiguousarray(self._row_scales(ids))
-
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Dequantized FP32 rows for ``ids`` (any shape, flattened)."""
         ids = np.asarray(ids).ravel()

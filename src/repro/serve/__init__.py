@@ -5,11 +5,10 @@ build a :class:`ServeConfig`, then :meth:`ServeSession.from_model` (freeze
 a live model) or :meth:`ServeSession.load` (serve a
 :mod:`repro.artifact` container straight off disk).  The session wires the
 forward-only :class:`InferenceEngine` plan, the coalescing
-:class:`Batcher`, the LRU hot-row caches (:class:`LRUCache` /
-:class:`QuantizedRowCache` with admission + TTL decay) and the
-:mod:`repro.quant` integer-storage widths from that single config.  The
-engine/batcher/cache classes remain public — they are the moving parts,
-the session is the front door.  See DESIGN.md §6–§8 and
+:class:`Batcher`, the LRU hot-row cache (:class:`LRUCache`, with admission
++ TTL decay) and the :mod:`repro.quant` integer-storage widths from that
+single config.  The engine/batcher/cache classes remain public — they are
+the moving parts, the session is the front door.  See DESIGN.md §6–§8 and
 ``repro export-artifact``.  Serving is measured by replaying
 :mod:`repro.traffic` streams through a session (``repro serve-bench``
 replays static Zipf, ``repro traffic-bench`` drifting sessions).
@@ -22,7 +21,7 @@ percentiles — bit-identical predictions under induced faults
 """
 
 from repro.serve.batcher import Batcher, PendingRequest
-from repro.serve.cache import LRUCache, QuantizedRowCache, rows_for_budget
+from repro.serve.cache import LRUCache
 from repro.serve.engine import InferenceEngine
 from repro.serve.runtime import (
     ChaosReport,
@@ -42,11 +41,9 @@ __all__ = [
     "LRUCache",
     "PendingRequest",
     "QoSStats",
-    "QuantizedRowCache",
     "RetryPolicy",
     "ServeConfig",
     "ServeSession",
     "ServingRuntime",
-    "rows_for_budget",
     "run_chaos",
 ]

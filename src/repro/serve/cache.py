@@ -1,4 +1,4 @@
-"""LRU hot-row cache for embedding serving (FP32 rows or quantized codes).
+"""LRU hot-row cache of composed FP32 embedding rows.
 
 Request traffic over a frequency-sorted vocabulary is Zipf-distributed
 (§4 of the paper), so a small cache of composed embedding rows absorbs most
@@ -35,32 +35,16 @@ granularity): sustained traffic keeps its ids admitted, lapsed ids must
 re-earn their count.  Decay touches bookkeeping only — served values never
 change, exactly like admission itself.
 
-**Cache of codes** (:class:`QuantizedRowCache`): the quantized serving plan
-stores integer codes plus one FP32 scale per row instead of FP32 rows —
-``dim + 4`` bytes per int8 row against ``4·dim`` FP32, so the same byte
-budget holds ≈4× more rows (≈7× at int4).  ``rows()`` decodes through the
-same kernel the miss path uses, which keeps hits bit-identical to misses
-(``tests/serve/test_quantized_engine.py`` pins this; DESIGN.md §7).
+Every plan caches FP32 rows, the quantized plan included: it composes its
+rows in FP32 over decoded tables, so a cached row is the composed row
+itself and a hit copies the bytes the miss path computed (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.quant.kernels import codes_bytes_per_row, decode_rows
-
-__all__ = ["LRUCache", "QuantizedRowCache", "rows_for_budget"]
-
-
-def rows_for_budget(budget_bytes: int, dim: int, bits: int = 32) -> int:
-    """Cache capacity (rows) affordable within ``budget_bytes``.
-
-    ``bits=32`` prices FP32 rows; 8/4 price quantized codes plus the
-    per-row scale.  The serving benches use this to compare caches at an
-    equal byte budget.
-    """
-    per_row = 4 * dim if bits == 32 else codes_bytes_per_row(dim, bits)
-    return max(1, int(budget_bytes) // per_row)
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
@@ -88,7 +72,7 @@ class LRUCache:
         self.min_count = int(min_count)
         self.count_ttl = int(count_ttl) if count_ttl is not None else None
         self._last_decay_tick = 0
-        self._alloc_store(dtype)
+        self._store = np.empty((self.capacity, self.dim), dtype=dtype)
         #: vectorized id→slot map when the universe is known, else a dict
         self._map: np.ndarray | None = (
             np.full(int(id_range), -1, dtype=np.int32) if id_range is not None else None
@@ -112,28 +96,9 @@ class LRUCache:
         self.evictions = 0
         self.rejected = 0  # insert attempts turned away by admission
 
-    # -- storage hooks (overridden by QuantizedRowCache) -----------------------
-
-    def _alloc_store(self, dtype: np.dtype) -> None:
-        self._store = np.empty((self.capacity, self.dim), dtype=dtype)
-
-    def _check_payload(self, payload, k: int) -> None:
-        payload = np.asarray(payload)
-        if payload.shape != (k, self.dim):
-            raise ValueError(f"rows shape {payload.shape} != ({k}, {self.dim})")
-
-    def _take_payload(self, payload, sel: np.ndarray):
-        return np.asarray(payload)[sel]
-
-    def _write(self, slots: np.ndarray, payload, stored: int) -> None:
-        self._store[slots] = np.asarray(payload)[:stored]
-
     def store_nbytes(self) -> int:
-        """Bytes of the row store (the capacity × per-row payload budget)."""
+        """Bytes of the ``(capacity, dim)`` row store."""
         return int(self._store.nbytes)
-
-    def bytes_per_row(self) -> int:
-        return int(self._store.itemsize) * self.dim
 
     def rows(self, slots: np.ndarray) -> np.ndarray:
         """Gather stored rows by slot into a fresh array (callers filter
@@ -222,25 +187,25 @@ class LRUCache:
             self._count_dict = {i: c for i, c in counts.items() if c > 1}
         return seen >= self.min_count
 
-    def insert(self, ids: np.ndarray, rows) -> np.ndarray:
+    def insert(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Store freshly computed rows, evicting least-recent ids as needed.
 
         ``ids`` must be unique within the call and not already cached (the
-        engine coalesces and inserts misses only).  ``rows`` is the payload
-        in this cache's storage form — FP32 ``(k, dim)`` here,
-        ``(codes, scales)`` for :class:`QuantizedRowCache`.  Returns the
-        slot assigned to each id, or −1 where a row was *not* stored: either
-        turned away by admission (seen fewer than ``min_count`` times) or
-        dropped on overflow — eviction never touches a slot used in the
-        current tick (the rows a batch hit must stay valid until the batch
-        assembles), so when the incoming rows outnumber the older slots the
-        overflow is dropped.  Ids come in ascending order from the engine's
-        coalescing, which on a frequency-sorted vocabulary means the
-        overflow that drops is the least-popular tail.
+        engine coalesces and inserts misses only); ``rows`` is ``(k, dim)``.
+        Returns the slot assigned to each id, or −1 where a row was *not*
+        stored: either turned away by admission (seen fewer than
+        ``min_count`` times) or dropped on overflow — eviction never touches
+        a slot used in the current tick (the rows a batch hit must stay
+        valid until the batch assembles), so when the incoming rows
+        outnumber the older slots the overflow is dropped.  Ids come in
+        ascending order from the engine's coalescing, which on a
+        frequency-sorted vocabulary means the overflow that drops is the
+        least-popular tail.
         """
-        ids = np.asarray(ids)
+        ids, rows = np.asarray(ids), np.asarray(rows)
         k = int(ids.size)
-        self._check_payload(rows, k)
+        if rows.shape != (k, self.dim):
+            raise ValueError(f"rows shape {rows.shape} != ({k}, {self.dim})")
         out_slots = np.full(k, -1, dtype=np.int64)
         if k == 0:
             return out_slots
@@ -250,13 +215,13 @@ class LRUCache:
                 sel = np.flatnonzero(admitted)
                 self.rejected += k - sel.size
                 if sel.size:
-                    out_slots[sel] = self._place(ids[sel], self._take_payload(rows, sel))
+                    out_slots[sel] = self._place(ids[sel], rows[sel])
                 return out_slots
         out_slots[:] = self._place(ids, rows)
         return out_slots
 
-    def _place(self, ids: np.ndarray, rows) -> np.ndarray:
-        """Allocate slots (fresh, then LRU-evicted) and write the payload."""
+    def _place(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Allocate slots (fresh, then LRU-evicted) and write the rows."""
         k = int(ids.size)
         out_slots = np.full(k, -1, dtype=np.int64)
         n_fresh = min(self.capacity - self._next_free, k)
@@ -288,7 +253,7 @@ class LRUCache:
         stored = n_fresh + n_evict
         ids = ids[:stored]
         out_slots[:stored] = slots
-        self._write(slots, rows, stored)
+        self._store[slots] = rows[:stored]
         self._slot_id[slots] = ids
         self._last_used[slots] = self._tick
         if self._map is not None:
@@ -311,70 +276,3 @@ class LRUCache:
         self._next_free = 0
         self._tick = 0
         self._last_decay_tick = 0
-
-
-class QuantizedRowCache(LRUCache):
-    """LRU cache whose row store holds integer codes + per-row scales.
-
-    The payload of :meth:`insert` is the ``(codes, scales)`` pair a
-    :class:`~repro.quant.embedding.QuantizedEmbedding` encodes (packed
-    uint8 at int4); :meth:`rows` decodes through the same
-    :func:`~repro.quant.kernels.decode_rows` kernel the engine's miss path
-    uses, so a hit returns bit-identical floats to the miss that filled it.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        dim: int,
-        bits: int,
-        id_range: int | None = None,
-        min_count: int = 1,
-        count_ttl: int | None = None,
-    ) -> None:
-        if bits not in (8, 4):
-            raise ValueError(f"quantized cache bits must be 8 or 4, got {bits}")
-        self.bits = int(bits)
-        self._packed_dim = -(-dim * bits // 8)
-        super().__init__(
-            capacity, dim, id_range=id_range, min_count=min_count,
-            count_ttl=count_ttl,
-        )
-
-    def _alloc_store(self, dtype: np.dtype) -> None:
-        code_dtype = np.uint8 if self.bits == 4 else np.int8
-        self._store = np.empty((self.capacity, self._packed_dim), dtype=code_dtype)
-        # Zeroed, not empty: the engine's overflow-splice path gathers slot 0
-        # before any insert and decode multiplies by the scale — garbage
-        # float bits there would trip strict FP-error modes (the decoded
-        # values are overwritten either way; 0.0 makes the multiply inert).
-        self._scales = np.zeros(self.capacity, dtype=np.float32)
-
-    def _check_payload(self, payload, k: int) -> None:
-        codes, scales = payload
-        if codes.shape != (k, self._packed_dim):
-            raise ValueError(
-                f"codes shape {codes.shape} != ({k}, {self._packed_dim})"
-            )
-        if scales.shape != (k,):
-            raise ValueError(f"scales shape {scales.shape} != ({k},)")
-
-    def _take_payload(self, payload, sel: np.ndarray):
-        codes, scales = payload
-        return codes[sel], scales[sel]
-
-    def _write(self, slots: np.ndarray, payload, stored: int) -> None:
-        codes, scales = payload
-        self._store[slots] = codes[:stored]
-        self._scales[slots] = scales[:stored]
-
-    def store_nbytes(self) -> int:
-        return int(self._store.nbytes + self._scales.nbytes)
-
-    def bytes_per_row(self) -> int:
-        return codes_bytes_per_row(self.dim, self.bits)
-
-    def rows(self, slots: np.ndarray) -> np.ndarray:
-        """Fused gather→decode of cached rows into FP32."""
-        codes, scales = self._store.take(slots, axis=0), self._scales.take(slots)
-        return decode_rows(codes, scales, self.bits, self.dim)

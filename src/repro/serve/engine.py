@@ -16,28 +16,28 @@ fallback.  A read-only (mmap-backed) table is its own snapshot, so a
 mapped artifact is served without copying its tables.
 
 An optional **LRU hot-row cache** (:class:`repro.serve.cache.LRUCache`)
-keyed on id stores *composed* embedding rows.  Each batch coalesces its
-ids, serves hits from the cache, computes only the misses and inserts
+keyed on id stores *composed* FP32 embedding rows.  Each batch coalesces
+its ids, serves hits from the cache, computes only the misses and inserts
 them.  Because embedding composition is per-id (every technique except the
 pooled one-hot encoder), a cached row is byte-for-byte the row the miss
 path computes.  A hit costs a lookup, an insert and a row copy, so the
 engine builds a requested cache only where a miss costs more: a static
-rule over the plan's form and width (:func:`_cache_declined`, measured in
-DESIGN.md §6) keeps it for TT contractions, masked projections and
-re-quantized composed rows, and serves one-gather and FP32
-gather-plus-elementwise plans uncached.
+rule over the plan's form, width and request length (:func:`_cache_declined`,
+measured in DESIGN.md §6) keeps it for TT contractions and masked
+projections, and for quantized gather-plus-elementwise rows in requests
+of at least 2048 embedding values.  Other plans serve uncached.
 
 In the **quantized plan** (``bits=8`` or ``bits=4``) the embedding is
-calibrated into :class:`repro.quant.QuantizedEmbedding`
-integer storage — every form table as int8 codes + scales (int4 packs two
-codes per byte) — rows are served through the fused gather→dequantize
-kernels, and the hot-row cache becomes a :class:`repro.serve.cache.QuantizedRowCache` that
-stores *codes* instead of FP32 rows — the same byte budget holds ≈4× more
-rows at int8.  Hits decode through the same kernel as misses, so cached and
-uncached quantized engines serve bit-identical predictions; the whole plan
-matches a plain FP32 engine over ``QuantizedEmbedding.dequantized()``
-bit-for-bit (DESIGN.md §7).  The tower stays FP32 — the paper's on-device
-setting stores weights quantized but computes in FP32.
+calibrated into :class:`repro.quant.QuantizedEmbedding` integer storage —
+every form table as int8 codes + scales (int4 packs two codes per byte) —
+and served by the same plan as FP32 over different tables: each gather is
+the table's fused gather→dequantize, a projection weight its ``dense()``
+decode, and the combine runs in FP32.  Composed rows are rounded once, at
+calibration; a one-gather form serves its stored codes.  The whole plan,
+cached or not, matches a plain FP32 engine over
+``QuantizedEmbedding.dequantized()`` bit-for-bit (DESIGN.md §7).  The tower
+stays FP32 — the paper's on-device setting stores weights quantized but
+computes in FP32.
 
 Each embedding row is moved once: ``predict`` gathers a batch's rows
 *position-major* (every request's first id, then every second, ...) into
@@ -63,8 +63,8 @@ from repro.artifact.errors import ArtifactFormatError
 from repro.artifact.plan import TowerPlan, build_tower, tower_plan_of
 from repro.core.frozen import compose
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
-from repro.quant.kernels import decode_rows
-from repro.serve.cache import LRUCache, QuantizedRowCache
+from repro.quant.table import QuantizedTable
+from repro.serve.cache import LRUCache
 
 __all__ = ["InferenceEngine"]
 
@@ -85,14 +85,21 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
 
 
 def _freeze_table(table) -> tuple["callable", int]:
-    """``(take, nbytes)``: a row getter over a snapshot of a Parameter, and
-    the snapshot's bytes.
+    """``(take, nbytes)``: a row getter over a frozen table, and its bytes.
 
-    ``ids=None`` returns the whole table (a projection weight).  A gather
-    is a plain ``take`` into a fresh array: it raises on an out-of-range
-    row, and numpy's ``take(out=)`` would copy ``out`` into a temporary and
-    back rather than save the allocation.
+    ``ids=None`` returns the whole table (a projection weight).  A
+    ``Parameter`` serves a snapshot of its array, and a gather is a plain
+    ``take`` into a fresh array: it raises on an out-of-range row, and
+    numpy's ``take(out=)`` would copy ``out`` into a temporary and back
+    rather than save the allocation.  A calibrated ``QuantizedTable`` is
+    never trained, so it is served as it is: a gather is its fused
+    gather→dequantize, the whole table its ``dense()`` decode.
     """
+    if isinstance(table, QuantizedTable):
+        def take_decoded(ids: np.ndarray | None) -> np.ndarray:
+            return table.dense() if ids is None else table.gather(ids)
+
+        return take_decoded, table.nbytes
     arr = _snapshot(table.data)
 
     def take_dense(ids: np.ndarray | None) -> np.ndarray:
@@ -102,9 +109,9 @@ def _freeze_table(table) -> tuple["callable", int]:
 
 
 def _freeze_form(form) -> tuple["callable", int]:
-    """``(compose_fn, table_bytes)`` over snapshots of a form's tables — the
-    FP32 plan of every technique.  ``compose_fn(ids)`` composes one fresh
-    row per flat id, or one pooled row per ``(B, L)`` request."""
+    """``(compose_fn, table_bytes)`` over a form's frozen tables — the plan
+    of every technique at every width.  ``compose_fn(ids)`` composes one
+    fresh FP32 row per flat id, or one pooled row per ``(B, L)`` request."""
     takes, table_bytes = {}, 0
     for name, table in form.tables.items():
         takes[name], nbytes = _freeze_table(table)
@@ -124,27 +131,43 @@ def _freeze_form(form) -> tuple["callable", int]:
 #: contraction, and the masked sum of per-block projections
 _COSTLY_COMBINES = frozenset({"tt", "masked_sum"})
 
+#: combines of whole gathered rows: a quantized miss decodes every value
+#: of every row it gathers
+_ROWWISE_COMBINES = frozenset({"mul", "add", "concat"})
 
-def _cache_declined(form, bits: int) -> str | None:
+#: embedding values per request (input length × row width) from which a
+#: quantized plan's rowwise-combined rows cost more than a cache hit
+_QUANTIZED_CACHE_VALUES = 2048
+
+
+def _cache_declined(form, bits: int, input_length: int) -> str | None:
     """Why a hot-row cache would not pay on this plan; ``None`` if it does.
 
     A hit costs a lookup, an insert and a row copy.  That pays for a TT
-    contraction or masked projections at any width, and for a composed row
-    the quantized plan re-quantizes on every miss.  It does not pay for one
-    gather, nor for FP32 gathers joined by ``mul``/``add``/``concat`` or one
-    ``project`` (DESIGN.md §6 has the measured table).
+    contraction or masked projections at any width.  It does not pay for
+    one gather, nor for gathers joined by ``mul``/``add``/``concat`` or one
+    ``project``, except in a quantized plan whose requests carry at least
+    ``_QUANTIZED_CACHE_VALUES`` embedding values: there a miss decodes every
+    gathered row, while the cache composes only a batch's distinct misses,
+    so ``mul``/``add``/``concat`` rows pay (DESIGN.md §6 has the measured
+    table).
     """
     if form.pooled:
         return "pooled output has no per-id rows"
     ops = form.combine_ops
-    if ops & _COSTLY_COMBINES or (bits != 32 and ops):
+    if ops & _COSTLY_COMBINES:
         return None
     if not ops:
         return "a row is one gather, which costs less than a cache hit"
-    return (
-        f"an FP32 row is gathers plus {'/'.join(sorted(ops))}, which costs "
-        "less than a cache hit"
+    reason = (
+        f"a row is gathers plus {'/'.join(sorted(ops))}, which costs less "
+        "than a cache hit"
     )
+    if bits == 32 or not ops & _ROWWISE_COMBINES:
+        return reason
+    if input_length * form.output_dim >= _QUANTIZED_CACHE_VALUES:
+        return None
+    return f"{reason} below {_QUANTIZED_CACHE_VALUES} values per request"
 
 
 class InferenceEngine:
@@ -160,12 +183,13 @@ class InferenceEngine:
         Capacity of the LRU hot-row cache (number of composed embedding
         rows) where the plan's rows are expensive enough to cache; ``None``
         disables caching.  Plans the cache would slow down (one gather,
-        FP32 gathers plus elementwise ops, the pooled one-hot encoder)
-        decline it: ``cache`` stays ``None`` and ``cache_declined`` says why.
+        gathers plus elementwise ops at FP32 or in short quantized
+        requests, the pooled one-hot encoder) decline it: ``cache`` stays
+        ``None`` and ``cache_declined`` says why.
     bits:
         ``None``/``32`` serves FP32 (the default).  ``8`` or ``4`` builds
-        the quantized plan: integer-storage embedding tables, fused
-        gather→dequantize serving, and a cache of codes.
+        the quantized plan: integer-storage embedding tables served through
+        fused gather→dequantize, composed and pooled in FP32.
     calibration_percentile:
         Optional outlier-clipped calibration for the quantized plan (e.g.
         ``99.9``); ``None`` uses per-row absmax.
@@ -292,30 +316,29 @@ class InferenceEngine:
                     f"int{embedding.bits} storage"
                 )
             bits = embedding.bits
+            form = embedding.form
         else:
             bits = 32 if bits is None else int(bits)
             if bits not in (32, 8, 4):
                 raise ValueError(f"serving bits must be 32, 8 or 4, got {bits}")
-            if bits != 32:
+            if bits == 32:
+                form = embedding.eval().frozen()
+            else:
                 # Calibrate into integer storage (raises for the pooled
                 # one-hot encoder, which has no per-row storage).
-                embedding = quantize_embedding(
+                form = quantize_embedding(
                     embedding, bits, percentile=calibration_percentile
-                )
+                ).form
         self.model_name = model_name
         self.input_length = int(input_length)
         self.bits = bits
         self.requests_served = 0
         self.batches_served = 0
-        if bits != 32:
-            self._qemb = embedding
-            form = embedding.form
-            self._embed_rows = embedding.rows
-            self._table_bytes = embedding.storage_bytes()
-        else:
-            self._qemb = None
-            form = embedding.eval().frozen()
-            self._embed_rows, self._table_bytes = _freeze_form(form)
+        # Every plan serves its form through _freeze_form, so there is no
+        # QuantizedEmbedding to hold; the perf benchmark's tracer
+        # (benchmarks/perf/measured.py::instrument) still reads this.
+        self._qemb = None
+        self._embed_rows, self._table_bytes = _freeze_form(form)
         self.embedding_dim = form.output_dim
         self.vocab_size = form.vocab_size
         self._embed_pooled = None
@@ -325,48 +348,21 @@ class InferenceEngine:
             raise ValueError(f"cache capacity must be positive, got {cache_rows}")
         self.cache: LRUCache | None = None
         #: why the requested hot-row cache was not built (``None`` otherwise)
-        self.cache_declined = None if cache_rows is None else _cache_declined(form, bits)
+        self.cache_declined = (
+            None if cache_rows is None
+            else _cache_declined(form, bits, self.input_length)
+        )
         if cache_rows is not None and self.cache_declined is None:
-            if self._qemb is not None:
-                self.cache = QuantizedRowCache(
-                    cache_rows,
-                    self.embedding_dim,
-                    self.bits,
-                    id_range=self.vocab_size,
-                    min_count=cache_min_count,
-                    count_ttl=cache_ttl,
-                )
-            else:
-                self.cache = LRUCache(
-                    cache_rows,
-                    self.embedding_dim,
-                    id_range=self.vocab_size,
-                    min_count=cache_min_count,
-                    count_ttl=cache_ttl,
-                )
+            self.cache = LRUCache(
+                cache_rows,
+                self.embedding_dim,
+                id_range=self.vocab_size,
+                min_count=cache_min_count,
+                count_ttl=cache_ttl,
+            )
         self._tower = build_tower(tower_plan)
 
     # -- embedding with the hot-row cache --------------------------------------
-
-    def _compute_payload(self, miss_ids: np.ndarray):
-        """Miss-path payload in the cache's storage form.
-
-        FP32 plan: the composed rows themselves.  Quantized plan: the
-        ``(codes, scales)`` pair — what the cache stores and what both the
-        hit and splice paths decode, keeping every route bit-identical.
-        """
-        if self._qemb is not None:
-            return self._qemb.encode(miss_ids)
-        return self._embed_rows(miss_ids)
-
-    def _payload_rows(self, payload, sel: np.ndarray) -> np.ndarray:
-        """FP32 rows for a subset of the miss payload (cache-overflow splice)."""
-        if self._qemb is not None:
-            codes, scales = payload
-            return decode_rows(
-                codes[sel], scales[sel], self.bits, self.embedding_dim
-            )
-        return payload[sel]
 
     def _embed(self, flat: np.ndarray) -> np.ndarray:
         if self.cache is None:
@@ -380,8 +376,8 @@ class InferenceEngine:
             return self.cache.rows(slots)
         miss_ids, inverse = np.unique(flat[miss_at], return_inverse=True)
         inverse = inverse.ravel()
-        payload = self._compute_payload(miss_ids)
-        miss_slots = self.cache.insert(miss_ids, payload)
+        miss_rows = self._embed_rows(miss_ids)
+        miss_slots = self.cache.insert(miss_ids, miss_rows)
         expanded = miss_slots[inverse]
         slots[miss_at] = expanded
         dropped = np.flatnonzero(expanded < 0)
@@ -391,7 +387,7 @@ class InferenceEngine:
         # beyond the evictable slots): splice their computed values in
         # directly.
         out = self.cache.rows(np.where(slots >= 0, slots, 0))
-        out[miss_at[dropped]] = self._payload_rows(payload, inverse[dropped])
+        out[miss_at[dropped]] = miss_rows[inverse[dropped]]
         return out
 
     # -- accounting ------------------------------------------------------------

@@ -54,7 +54,7 @@ class ServeConfig:
         Outlier-clipped calibration for the quantized plan (e.g. ``99.9``);
         ``None`` uses per-row absmax.
     cache_rows:
-        LRU hot-row cache capacity (composed rows / code rows).  ``None``
+        LRU hot-row cache capacity (composed FP32 rows).  ``None``
         disables caching.  The engine builds the cache only on plans whose
         rows cost more to compose than a hit; elsewhere it declines it and
         ``stats()`` reports ``cache_declined`` with the reason.

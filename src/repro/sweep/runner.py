@@ -245,7 +245,8 @@ def _worker_main(root: str, queue, fail_points: dict | None) -> None:
 
 
 def _drive(ledger: SweepLedger, workers: int, fail_points: dict | None) -> dict:
-    """Complete every unfinished point of ``ledger``'s sweep; return records."""
+    """Complete every unfinished point of ``ledger``'s sweep; return the
+    records of its current points (a stale record on disk is not one)."""
     if workers < 0:
         raise SweepError(f"workers must be >= 0, got {workers}")
     root = ledger.root
@@ -308,7 +309,7 @@ def _drive(ledger: SweepLedger, workers: int, fail_points: dict | None) -> dict:
             f"({', '.join(missing[:4])}{'…' if len(missing) > 4 else ''}) — "
             f"run `repro sweep resume {root}` to complete them"
         )
-    return records
+    return {pid: records[pid] for pid, _ in points}
 
 
 def run(
@@ -317,7 +318,7 @@ def run(
     workers: int = 1,
     fail_points: dict | None = None,
 ) -> dict:
-    """Start a fresh sweep at ``out_dir``; returns all point records.
+    """Start a fresh sweep at ``out_dir``; returns its point records.
 
     ``fail_points`` (test-only, needs ``workers >= 1``) maps point ids to
     fault injections — ``"kill"`` SIGKILLs the worker that picks the point

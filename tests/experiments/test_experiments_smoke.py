@@ -72,11 +72,21 @@ class TestTable3:
 
 class TestFig4:
     def test_runs_and_renders(self):
-        points = fig4_quantization.run(MICRO, datasets=("movielens",), bits_sweep=(32, 8, 2))
-        assert {p.bits for p in points} == {32, 8, 2}
+        points = fig4_quantization.run(
+            MICRO, datasets=("movielens",), bits_sweep=(32, 8, 4, 2)
+        )
+        assert [p.label for p in points] == [
+            "32-bit", "8-bit", "4-bit", "2-bit", "int8 served", "int4 served",
+        ]
         fp32 = [p for p in points if p.bits == 32][0]
         assert fp32.relative_loss_pct == pytest.approx(0.0, abs=1e-9)
-        assert "Figure 4" in fig4_quantization.render(points)
+        # the served points score InferenceEngine(bits=b) over the FP32 model
+        assert all(0.0 <= p.metric <= 1.0 for p in points if p.served)
+        text = fig4_quantization.render(points)
+        assert "Figure 4" in text
+        assert text.index("2-bit loss") < text.index("int8 served loss") < text.index(
+            "int4 served loss"
+        )
 
     def test_fp16_is_lossless_and_2bit_perturbs(self):
         points = fig4_quantization.run(

@@ -8,11 +8,11 @@ import pytest
 from repro.core.memcom import MEmComEmbedding
 from repro.core.onehot import HashedOneHotEncoder
 from repro.core.registry import available_techniques, build_embedding
-from repro.core.truncate import TruncateRareEmbedding
 from repro.core.tt_rec import TTRecEmbedding
+from repro.models.builder import build_pointwise_ranker
 from repro.nn.tensor import no_grad
 from repro.quant import decode_rows, encode_rows, quantize_embedding
-from repro.quant.table import QuantizedTable
+from repro.serve.engine import InferenceEngine
 
 V, E = 200, 16
 
@@ -32,9 +32,11 @@ TECHNIQUES = {
     "mixed_dim": {"num_blocks": 3},
 }
 
-#: the techniques that served through the deleted module mode (an FP32
-#: working copy with simulated rounding) before every technique had a form
-FORMER_MODULE_MODE = {
+#: every per-id technique at v=2000, e=64
+WIDE = {
+    **TECHNIQUES,
+    "reduce_dim": {"reduced_dim": 64},
+    "truncate_rare": {"keep": 1000},
     "hash": {"num_hash_embeddings": 250},
     "double_hash": {"num_hash_embeddings": 250},
     "freq_double_hash": {"num_hash_embeddings": 250},
@@ -46,35 +48,46 @@ FORMER_MODULE_MODE = {
 
 
 def test_every_per_id_technique_is_covered():
-    assert set(TECHNIQUES) == set(available_techniques()) - {"hashed_onehot"}
+    assert set(TECHNIQUES) == set(WIDE) == set(available_techniques()) - {"hashed_onehot"}
 
 
 def _embedding(technique, seed=0):
     return build_embedding(technique, V, E, rng=seed, **TECHNIQUES[technique])
 
 
-def _grid_round_trip(w, bits, percentile):
-    """One parameter through the storage grid, as the module mode did:
-    per-row scales for multi-column tables, one scale otherwise."""
-    if w.ndim == 2 and w.shape[1] > 1:
-        codes, scales = encode_rows(w, bits, percentile=percentile)
-        return decode_rows(codes, scales, bits, w.shape[1])
-    q = QuantizedTable.from_dense(
-        w.reshape(1, -1), bits, percentile=percentile, per_row=False
+def _model(technique, vocab=V, dim=E, hyper=None, seed=0):
+    """A one-id pointwise ranker whose embedding weights are all moved off
+    their init (MEmCom's multiplier starts at one and its bias at zero),
+    so every combine does real arithmetic."""
+    hyper = TECHNIQUES[technique] if hyper is None else hyper
+    model = build_pointwise_ranker(
+        technique, vocab, 4, input_length=1, embedding_dim=dim, rng=seed, **hyper
     )
-    return q.dense().reshape(w.shape)
+    rng = np.random.default_rng(seed)
+    for p in model.embedding.parameters():
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape).astype(np.float32)
+    return model.eval()
 
 
-def _module_forward_on_grid(emb, ids, bits, percentile):
-    ref = copy.deepcopy(emb).eval()
-    for p in ref.parameters():
-        p.data = _grid_round_trip(p.data, bits, percentile)
+def _served(model, bits, percentile=None):
+    """The quantized engine's per-id rows: ``ids -> rows``."""
+    return InferenceEngine(
+        model, bits=bits, calibration_percentile=percentile
+    ).compose_rows
+
+
+def _fp32_rows(emb, ids):
     with no_grad():
-        return ref(ids).numpy()
+        return emb.eval()(ids).numpy()
 
 
-def _row_quantized(rows, bits):
-    return decode_rows(*encode_rows(rows, bits), bits, rows.shape[1])
+def _forward_on_decoded_tables(emb, q, ids):
+    """The module's eval forward with every form table replaced by its
+    ``QuantizedTable.dense()`` decode."""
+    ref = copy.deepcopy(emb).eval()
+    for name, table in ref.frozen().tables.items():
+        table.data = q.form.tables[name].dense()
+    return _fp32_rows(ref, ids)
 
 
 class TestQuantizeEmbedding:
@@ -82,37 +95,33 @@ class TestQuantizeEmbedding:
     @pytest.mark.parametrize("bits", [8, 4])
     def test_rows_match_dequantized_reference(self, technique, bits):
         """Served rows ≡ the materialized FP32 reference, bit for bit."""
-        q = quantize_embedding(_embedding(technique), bits)
+        model = _model(technique)
+        ref = quantize_embedding(model.embedding, bits).dequantized()
         ids = np.array([0, 1, 5, V - 1, 5, 77])
-        rows = q.rows(ids)
-        ref = q.dequantized()
-        with no_grad():
-            np.testing.assert_array_equal(rows, ref(ids).numpy())
+        np.testing.assert_array_equal(
+            _served(model, bits)(ids), _fp32_rows(ref, ids)
+        )
 
     @pytest.mark.parametrize("technique", sorted(TECHNIQUES))
     def test_single_vs_batched_bit_identity(self, technique):
-        q = quantize_embedding(_embedding(technique), 8)
+        rows = _served(_model(technique), 8)
         ids = np.array([3, 199, 42])
-        batched = q.rows(ids)
+        batched = rows(ids)
         for k, i in enumerate(ids):
-            np.testing.assert_array_equal(batched[k], q.rows(np.array([i]))[0])
+            np.testing.assert_array_equal(batched[k], rows(np.array([i]))[0])
 
     @pytest.mark.parametrize("technique", sorted(TECHNIQUES))
     def test_close_to_fp32_source(self, technique):
-        emb = _embedding(technique)
-        q = quantize_embedding(emb, 8)
+        model = _model(technique)
         ids = np.arange(0, V, 7)
-        with no_grad():
-            fp32 = emb.eval()(ids).numpy()
+        fp32 = _fp32_rows(model.embedding, ids)
         # int8 per-row grids keep rows within a tight fraction of the
         # technique's own row magnitudes.
         tol = max(1e-4, 0.02 * float(np.abs(fp32).max()))
-        assert np.abs(q.rows(ids) - fp32).max() <= tol
+        assert np.abs(_served(model, 8)(ids) - fp32).max() <= tol
 
     def test_truncate_rare_shares_oov_row(self):
-        emb = TruncateRareEmbedding(V, E, keep=50, rng=0)
-        q = quantize_embedding(emb, 8)
-        oov = q.rows(np.array([51, 137, V - 1]))
+        oov = _served(_model("truncate_rare"), 8)(np.array([51, 137, V - 1]))
         np.testing.assert_array_equal(oov[0], oov[1])
         np.testing.assert_array_equal(oov[0], oov[2])
 
@@ -148,15 +157,12 @@ class TestQuantizeEmbedding:
             quantize_embedding(_embedding("full"), 16)
 
     def test_percentile_calibration_changes_grid(self):
-        emb = _embedding("full")
-        emb.table.data[:, 0] = 3.0  # outlier column
-        q_abs = quantize_embedding(emb, 8)
-        q_clip = quantize_embedding(emb, 8, percentile=90.0)
+        model = _model("full")
+        model.embedding.table.data[:, 0] = 3.0  # outlier column
         ids = np.arange(20)
-        with no_grad():
-            fp32 = emb.eval()(ids).numpy()
-        err_abs = np.abs(q_abs.rows(ids)[:, 1:] - fp32[:, 1:]).mean()
-        err_clip = np.abs(q_clip.rows(ids)[:, 1:] - fp32[:, 1:]).mean()
+        fp32 = _fp32_rows(model.embedding, ids)
+        err_abs = np.abs(_served(model, 8)(ids)[:, 1:] - fp32[:, 1:]).mean()
+        err_clip = np.abs(_served(model, 8, 90.0)(ids)[:, 1:] - fp32[:, 1:]).mean()
         assert err_clip < err_abs
 
 
@@ -165,46 +171,43 @@ class TestEveryTechniqueHasIntegerStorage:
 
     @pytest.mark.parametrize("technique", sorted(TECHNIQUES))
     def test_int8_is_at_most_035_of_fp32_and_int4_smaller(self, technique):
-        hyper = FORMER_MODULE_MODE.get(technique, TECHNIQUES[technique])
-        if technique == "reduce_dim":
-            hyper = {"reduced_dim": 64}
-        elif technique == "truncate_rare":
-            hyper = {"keep": 1000}
-        emb = build_embedding(technique, 2000, 64, rng=1, **hyper)
+        emb = build_embedding(technique, 2000, 64, rng=1, **WIDE[technique])
         fp32 = sum(p.data.nbytes for p in emb.parameters())
         q8, q4 = (quantize_embedding(emb, bits).storage_bytes() for bits in (8, 4))
         assert q8 <= 0.35 * fp32
         assert q4 < q8
 
 
-class TestModuleModeReference:
-    """The deleted module mode is the reference for the seven techniques it
-    served: round-trip each parameter through the storage grid, run the
-    module forward, row-quantize.  Composed forms reproduce it bit for bit.
+class TestOneRounding:
+    """A served row is rounded once, at calibration: it is the module's
+    eval forward over the decoded tables, composed in FP32, for every
+    technique, width and calibration (v=2000, e=64)."""
 
-    ``hash`` is a single-gather form, so it serves its stored codes — one
-    rounding where the module mode rounded twice.  The two agree wherever
-    re-quantizing a stored row is the identity (absmax calibration, and
-    int4 at the 99th percentile here); at int8 under the 99th percentile
-    the second rounding moved some rows, and the stored codes are now
-    served as they are.
-    """
-
-    @pytest.mark.parametrize("technique", sorted(FORMER_MODULE_MODE))
+    @pytest.mark.parametrize("technique", sorted(WIDE))
     @pytest.mark.parametrize("bits", [8, 4])
     @pytest.mark.parametrize("percentile", [None, 99.0])
-    def test_rows_equal_module_mode_bitwise(self, technique, bits, percentile):
-        emb = build_embedding(
-            technique, 2000, 64, rng=1, **FORMER_MODULE_MODE[technique]
-        ).eval()
+    def test_rows_equal_forward_over_decoded_tables(self, technique, bits, percentile):
+        model = _model(technique, 2000, 64, WIDE[technique], seed=1)
         ids = np.random.default_rng(0).integers(0, 2000, 3000)
-        q = quantize_embedding(emb, bits, percentile=percentile)
-        composed = _module_forward_on_grid(emb, ids, bits, percentile)
-        module_mode = _row_quantized(composed, bits)
-        rows = q.rows(ids)
-        if technique == "hash":
-            np.testing.assert_array_equal(rows, composed)  # the stored codes
-            if percentile is None or bits == 4:
-                np.testing.assert_array_equal(rows, module_mode)
-        else:
-            np.testing.assert_array_equal(rows, module_mode)
+        q = quantize_embedding(model.embedding, bits, percentile=percentile)
+        np.testing.assert_array_equal(
+            _served(model, bits, percentile)(ids),
+            _forward_on_decoded_tables(model.embedding, q, ids),
+        )
+
+    def test_tt_rec_int8_rows_are_closer_to_fp32_than_two_roundings(self):
+        """Re-quantizing the composed row, a second rounding, only adds
+        error: the mean row error, |served − FP32| over the row's absmax,
+        is lower with one rounding."""
+        model = _model("tt_rec", 2000, 64, {"tt_rank": 4}, seed=1)
+        ids = np.arange(2000)
+        fp32 = _fp32_rows(model.embedding, ids)
+        once = _served(model, 8)(ids)
+        twice = decode_rows(*encode_rows(once, 8), 8, 64)
+
+        def row_error(rows):
+            return float(
+                (np.abs(rows - fp32).mean(axis=1) / np.abs(fp32).max(axis=1)).mean()
+            )
+
+        assert row_error(once) < 0.9 * row_error(twice)

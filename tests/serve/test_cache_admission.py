@@ -82,17 +82,6 @@ class TestAdmission:
             cache.insert(ids, _rows(ids, dim=2))
         assert len(cache._count_dict) <= bound + 4
 
-    def test_cold_quantized_cache_splice_has_no_garbage_arithmetic(self):
-        # First batch against a min_count-gated quantized cache: every slot
-        # is -1, so the engine decodes slot 0 before any insert — scales
-        # must be zero-initialized so the dead multiply stays finite.
-        from repro.serve.cache import QuantizedRowCache
-
-        cache = QuantizedRowCache(8, 4, bits=8, id_range=100, min_count=2)
-        with np.errstate(invalid="raise", over="raise"):
-            rows = cache.rows(np.zeros(3, dtype=np.int64))
-        assert np.isfinite(rows).all()
-
     def test_clear_resets_counters(self):
         cache = LRUCache(8, 4, id_range=100, min_count=2)
         cache.insert(np.array([1]), _rows([1]))
@@ -100,23 +89,20 @@ class TestAdmission:
         assert cache.insert(np.array([1]), _rows([1]))[0] == -1  # count restarted
 
 
-def _build(technique):
-    """A plan that keeps its cache: TT-Rec at FP32, MEmCom when quantized."""
-    hyper = {"tt_rec": {"tt_rank": 4}, "memcom": {"num_hash_embeddings": 32}}
+def _build():
+    """A plan that keeps its cache at every width: TT-Rec."""
     return build_pointwise_ranker(
-        technique, 250, 12, input_length=8, embedding_dim=16, rng=3,
-        **hyper[technique],
+        "tt_rec", 250, 12, input_length=8, embedding_dim=16, rng=3, tt_rank=4
     )
 
 
 class TestEngineWithAdmission:
     @pytest.mark.parametrize("bits", [None, 8])
     def test_served_values_unchanged(self, bits):
-        technique = "tt_rec" if bits is None else "memcom"
         ids = np.random.default_rng(1).integers(0, 250, (64, 8))
-        plain = InferenceEngine(_build(technique), bits=bits)
+        plain = InferenceEngine(_build(), bits=bits)
         admitted = InferenceEngine(
-            _build(technique), bits=bits, cache_rows=64, cache_min_count=2
+            _build(), bits=bits, cache_rows=64, cache_min_count=2
         )
         first = admitted.predict(ids).copy()
         np.testing.assert_array_equal(first, plain.predict(ids))
@@ -238,9 +224,9 @@ class TestAdmissionTTL:
 
     def test_decay_never_changes_served_values(self):
         rng = np.random.default_rng(5)
-        plain = InferenceEngine(_build("tt_rec"))
+        plain = InferenceEngine(_build())
         decaying = InferenceEngine(
-            _build("tt_rec"), cache_rows=32, cache_min_count=2, cache_ttl=2
+            _build(), cache_rows=32, cache_min_count=2, cache_ttl=2
         )
         for _ in range(8):  # several decay windows under shifting traffic
             ids = rng.integers(0, 250, (16, 8))

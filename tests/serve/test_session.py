@@ -16,7 +16,8 @@ def _model(seed=0):
 
 
 def _tt_model():
-    """TT-Rec: its FP32 plan keeps a requested cache (MEmCom's declines)."""
+    """TT-Rec: its plan keeps a requested cache at every width (MEmCom's
+    declines at 5 ids × 16 values per request)."""
     return build_pointwise_ranker(
         "tt_rec", 400, 10, input_length=5, embedding_dim=16, rng=0, tt_rank=4
     )
@@ -55,16 +56,18 @@ class TestConfigValidation:
 
 
 class TestFromModel:
-    def test_matches_direct_engine_bytes(self):
-        model = _model()
+    @pytest.mark.parametrize("build", [_model, _tt_model])
+    def test_matches_direct_engine_bytes(self, build):
+        model = build()
         session = ServeSession.from_model(model, ServeConfig(bits=8, cache_rows=32))
         engine = InferenceEngine(model, bits=8, cache_rows=32)
         ids = _ids()
         np.testing.assert_array_equal(session.predict(ids), engine.predict(ids))
         assert session.bits == 8
+        assert (session.engine.cache is None) == (build is _model)
 
     def test_overrides_patch_the_config(self):
-        session = ServeSession.from_model(_model(), ServeConfig(bits=8), cache_rows=16)
+        session = ServeSession.from_model(_tt_model(), ServeConfig(bits=8), cache_rows=16)
         assert session.config.bits == 8
         assert session.engine.cache is not None
         assert session.engine.cache.capacity == 16

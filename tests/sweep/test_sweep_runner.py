@@ -162,9 +162,24 @@ class TestOlderLedger:
         assert SweepLedger.open(out).spec == sweep
         with pytest.raises(SweepIncompleteError):
             build_report(out)
-        resume(out, workers=0)
+        assert list(resume(out, workers=0)) == [pid]
         assert SweepLedger.open(out).completed_ids() == {pid, stale}
         assert [row["point_id"] for row in build_report(out).rows] == [pid]
+
+    def test_resume_counts_each_current_point_once(self, tmp_path):
+        """A record no current point owns stays on disk but is not
+        returned: resuming counts the sweep's own points, each once."""
+        sweep = SweepSpec(base=sweep_base(), axes={"bits": [32]})
+        out = str(tmp_path / "stale")
+        records = run(sweep, out, workers=0)
+        ((pid, _),) = sweep.expand()
+        assert list(records) == [pid]
+        points = os.path.join(out, "points")
+        with open(os.path.join(points, f"{pid}.json")) as fh:
+            record = json.load(fh)
+        with open(os.path.join(points, "0123456789ab.json"), "w") as fh:
+            json.dump(record, fh)
+        assert resume(out, workers=0) == records
 
 
 class TestGuardRails:
