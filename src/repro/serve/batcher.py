@@ -16,14 +16,16 @@ import numpy as np
 
 __all__ = ["Batcher", "PendingRequest"]
 
+_INT64 = np.dtype(np.int64)
+
 
 class PendingRequest:
     """A submitted request, resolved by the next ``flush()``.
 
-    The request holds no ids: :meth:`Batcher.submit` copies them into the
-    batcher's own staging rows, so the caller may reuse or mutate its
-    buffer at once.  A flush resolves the request one of two ways:
-    ``result`` gets its score row, or — when an id lies outside
+    The request carries its own copy of the ids, staged by
+    :meth:`Batcher.submit` as native int64 bytes, so the caller may reuse
+    or mutate its buffer at once.  A flush resolves the request one of two
+    ways: ``result`` gets its score row, or — when an id lies outside
     ``[0, vocab_size)`` — ``error`` gets the ``ValueError`` naming the
     range, and the request is dropped without reaching the engine.
 
@@ -37,9 +39,9 @@ class PendingRequest:
     keeps its original start, so recovery time counts against it too.
     """
 
-    __slots__ = ("result", "error", "submitted_at", "latency_ms", "_unsigned")
+    __slots__ = ("result", "error", "submitted_at", "latency_ms", "_unsigned", "_ids")
 
-    def __init__(self, unsigned: bool = False) -> None:
+    def __init__(self, unsigned: bool = False, ids: bytes = b"") -> None:
         self.result: np.ndarray | None = None
         self.error: ValueError | None = None
         self.submitted_at = time.perf_counter()
@@ -47,6 +49,7 @@ class PendingRequest:
         # Submitted as an unsigned dtype: uint64 ids >= 2**63 stage as
         # negative int64, so the error message reads the row back unsigned.
         self._unsigned = unsigned
+        self._ids = ids
 
     @property
     def done(self) -> bool:
@@ -58,14 +61,15 @@ class Batcher:
     """Coalesce single requests into batched :meth:`InferenceEngine.predict` calls.
 
     The batcher owns its request ids.  :meth:`submit` checks a request's
-    dtype and shape, copies its ids into a grow-only ``(n, input_length)``
-    int64 staging array and queues a :class:`PendingRequest`; :meth:`flush`
-    range-checks every staged row with one vectorized comparison and serves
-    ``max_batch``-row slices of the staging array.  A request with an id
-    outside ``[0, vocab_size)`` never reaches the engine: it is resolved
-    with ``error`` set, its co-riders are served in exactly the batches
-    they would have had without it, and the flush then raises its error.
-    One bad request therefore cannot poison the requests coalesced with it.
+    dtype and shape and queues a :class:`PendingRequest` holding its ids
+    as native int64 bytes; :meth:`flush` joins the queue's bytes once into
+    an ``(n, input_length)`` array, range-checks every row with one
+    vectorized comparison and serves ``max_batch``-row slices of it.  A
+    request with an id outside ``[0, vocab_size)`` never reaches the
+    engine: it is resolved with ``error`` set, its co-riders are served in
+    exactly the batches they would have had without it, and the flush then
+    raises its error.  One bad request therefore cannot poison the requests
+    coalesced with it.
 
     By default flushing is explicit (the measurement loops own their batch
     boundaries).  With ``max_delay_ms`` set, the batcher self-flushes on
@@ -98,8 +102,8 @@ class Batcher:
         self.max_batch = int(max_batch)
         self.max_delay_ms = float(max_delay_ms) if max_delay_ms is not None else None
         self._pending: list[PendingRequest] = []
-        #: row i holds the ids of ``_pending[i]``; rows past the queue are scratch
-        self._staged = np.empty((0, 0), dtype=np.int64)
+        #: ids per queued request
+        self._width = 0
         self._oldest_pending_at: float | None = None
         self.auto_flushes = 0
 
@@ -113,20 +117,30 @@ class Batcher:
         Dtype and shape are checked here; the ids are copied, so the caller
         keeps ownership of its buffer.  The id range is checked at flush.
         """
-        ids = np.asarray(ids)
-        kind = ids.dtype.kind
-        if kind not in "iu":
-            raise TypeError(f"request ids must be integers, got {ids.dtype}")
-        if ids.ndim == 0:
-            ids = ids[None]
         length = self.engine.input_length
-        if ids.shape != (length,):
-            raise ValueError(f"request must be ({length},) ids, got shape {ids.shape}")
-        n = len(self._pending)
-        if n == self._staged.shape[0] or self._staged.shape[1] != length:
-            self._grow(n, length)
-        self._staged[n] = ids
-        request = PendingRequest(kind == "u")
+        if type(ids) is np.ndarray and ids.dtype is _INT64 and ids.shape == (length,):
+            # The common request, one row of an int64 id array: its bytes,
+            # C-ordered whatever its strides, are the staged row.
+            staged, unsigned = ids.tobytes(), False
+        else:
+            ids = np.asarray(ids)
+            kind = ids.dtype.kind
+            if kind not in "iu":
+                raise TypeError(f"request ids must be integers, got {ids.dtype}")
+            if ids.ndim == 0:
+                ids = ids[None]
+            if ids.shape != (length,):
+                raise ValueError(f"request must be ({length},) ids, got shape {ids.shape}")
+            staged, unsigned = ids.astype(_INT64).tobytes(), kind == "u"
+        if length != self._width:
+            if self._pending:
+                raise ValueError(
+                    f"engine input_length changed from {self._width} to "
+                    f"{length} with {len(self._pending)} requests queued; "
+                    "flush before replacing the engine"
+                )
+            self._width = length
+        request = PendingRequest(unsigned, staged)
         self._pending.append(request)
         if self.max_delay_ms is not None:
             if self._oldest_pending_at is None:
@@ -134,24 +148,10 @@ class Batcher:
             overdue = (
                 1e3 * (time.monotonic() - self._oldest_pending_at) >= self.max_delay_ms
             )
-            if n + 1 >= self.max_batch or overdue:
+            if len(self._pending) >= self.max_batch or overdue:
                 self.auto_flushes += 1
                 self.flush()
         return request
-
-    def _grow(self, n: int, length: int) -> None:
-        """Room for at least one more staged row of ``length`` ids."""
-        staged = self._staged
-        grown = np.empty((max(2 * n, self.max_batch), length), dtype=np.int64)
-        if n:
-            if staged.shape[1] != length:
-                raise ValueError(
-                    f"engine input_length changed from {staged.shape[1]} to "
-                    f"{length} with {n} requests queued; flush before "
-                    "replacing the engine"
-                )
-            grown[:n] = staged[:n]
-        self._staged = grown
 
     def flush(self) -> list[np.ndarray]:
         """Serve every pending request in ``max_batch``-row batches.
@@ -179,10 +179,12 @@ class Batcher:
             return []
         # ``queue`` and ``rows`` are the requests still to serve and their
         # ids; ``queue[:served]`` have their results.
-        queue, rows = pending, self._staged[: len(pending)]
-        served = 0
+        queue, served = pending, 0
         rejected: list[int] = []
         try:
+            rows = np.frombuffer(
+                b"".join([request._ids for request in pending]), dtype=np.int64
+            ).reshape(len(pending), self._width)
             vocab = self.engine.vocab_size
             # Under the unsigned view a negative id reads as a huge one, so
             # one comparison covers both ends of the range.
@@ -195,7 +197,9 @@ class Batcher:
                 queue, rows = [pending[i] for i in keep.tolist()], rows[keep]
             results: list[np.ndarray] = []
             for start in range(0, len(queue), self.max_batch):
-                scores = self.engine.predict(rows[start : start + self.max_batch])
+                # Split the scores into rows once: they are both the
+                # requests' results and the returned list.
+                scores = list(self.engine.predict(rows[start : start + self.max_batch]))
                 resolved_at = time.perf_counter()
                 for request, row in zip(queue[start : start + self.max_batch], scores):
                     request.result = row
@@ -203,10 +207,9 @@ class Batcher:
                     served += 1
                 results.extend(scores)
         except BaseException:
-            # Undelivered requests go back to the head of the queue and their
-            # ids to the leading staging rows, which ``rows`` may overlap.
+            # Undelivered requests, each holding its ids, go back on the
+            # emptied queue.
             if served < len(queue):
-                self._staged[: len(queue) - served] = rows[served:]
                 self._pending = queue[served:]
                 if self.max_delay_ms is not None:
                     self._oldest_pending_at = (
@@ -218,10 +221,11 @@ class Batcher:
         return results
 
     def serve(self, requests) -> list[np.ndarray]:
-        """Convenience: submit an iterable of requests and flush once."""
-        for ids in requests:
-            self.submit(ids)
-        return self.flush()
+        """Submit an iterable of requests and flush; returns each request's
+        score row in order, auto-flushed (``max_delay_ms``) or not."""
+        submitted = [self.submit(ids) for ids in requests]
+        self.flush()
+        return [request.result for request in submitted]
 
 
 def _range_error(request: PendingRequest, ids: np.ndarray, vocab: int) -> ValueError:

@@ -444,7 +444,11 @@ class InferenceEngine:
             raise ValueError(
                 f"expected (batch, {self.input_length}) ids, got shape {ids.shape}"
             )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
+        # Under the unsigned view of the ids' int64 copy (none for native
+        # int64) a negative id reads as a huge one, so one reduction covers
+        # both ends of the range; uint64 ids >= 2**63 wrap and read huge too.
+        unsigned = ids.astype(np.int64, copy=False).view(np.uint64)
+        if ids.size and unsigned.max() >= self.vocab_size:
             raise IndexError(
                 f"id out of range [0, {self.vocab_size}): "
                 f"[{ids.min()}, {ids.max()}]"

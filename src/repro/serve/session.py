@@ -348,7 +348,8 @@ class ServeSession:
         return self.batcher.flush()
 
     def serve(self, requests) -> list[np.ndarray]:
-        """Submit an iterable of requests and flush once."""
+        """Submit an iterable of requests and flush; returns one score row
+        per request, in order, auto-flushed or not."""
         return self.batcher.serve(requests)
 
     # -- introspection ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """The batcher owns its request ids: staged at submit, range-checked at flush.
 
-``Batcher.submit`` copies each request into the batcher's int64 staging
-rows, so the caller's buffer is free once ``submit`` returns and requests of
-any integer dtype share one batch.  ``Batcher.flush`` range-checks every
-staged row at once: a request with an id outside ``[0, vocab)`` is resolved
+``Batcher.submit`` copies each request's ids into int64 bytes held by the
+queued request, so the caller's buffer is free once ``submit`` returns and
+requests of any integer dtype share one batch.  ``Batcher.flush`` joins and
+range-checks every staged row at once: a request with an id outside ``[0, vocab)`` is resolved
 with its ``ValueError`` and dropped, and its co-riders are served in exactly
 the batches they would have had without it.
 """
@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.builder import build_pointwise_ranker
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import Batcher
 from repro.serve.engine import InferenceEngine
+from repro.serve.session import ServeSession
 
 V, L, E, C = 300, 6, 16, 10
 
@@ -93,6 +95,34 @@ class TestOwnedIds:
         with pytest.raises(ValueError, match="input_length changed"):
             batcher.submit(np.zeros(L, dtype=np.int64))
         assert len(batcher) == 1
+
+    def test_scalar_forms_of_one_id_serve_the_same_row(self):
+        """At ``input_length=1`` a bare ``int``, a NumPy scalar and a 0-d
+        array are each one request of one id."""
+        engine = _engine(input_length=1)
+        batcher = Batcher(engine)
+        got = batcher.serve([7, np.int64(7), np.array(7), np.array([7])])
+        want = engine.predict(np.array([[7]]))[0]
+        _assert_rows_equal(got, [want] * 4)
+
+    @pytest.mark.parametrize(
+        "form", ["column view", "reversed view", "big-endian", "read-only"]
+    )
+    def test_any_int64_layout_serves_its_contiguous_copy(self, engine, form):
+        """Strides, byte order and writability change how a request's ids
+        are read, never which ids are staged."""
+        rng = np.random.default_rng(5)
+        block = rng.integers(0, V, size=(L, 3))
+        request = {
+            "column view": block[:, 1],
+            "reversed view": block[::-1, 0],
+            "big-endian": block[:, 2].astype(">i8"),
+            "read-only": np.frombuffer(block[:, 0].tobytes(), dtype=np.int64),
+        }[form]
+        copy = np.array(request, dtype=np.int64, order="C")
+        batcher = Batcher(engine)
+        got = batcher.serve([request, copy])
+        _assert_rows_equal(got, list(engine.predict(np.stack([copy, copy]))))
 
 
 #: the ways an id falls outside [0, V): below, at the top, and a uint64 that
@@ -194,14 +224,98 @@ class TestRangeCheckedAtFlush:
         )
         _assert_rows_equal([p.result for p in pendings], engine.predict(requests))
 
+    def test_interrupt_after_a_delivered_batch_requeues_exactly_the_rest(
+        self, engine
+    ):
+        """A ``KeyboardInterrupt`` from a flush's second engine call keeps
+        the first batch's results and requeues exactly the undelivered
+        requests, with their ids; the next flush serves them as if nothing
+        had happened."""
+        requests = np.random.default_rng(6).integers(0, V, size=(10, L))
+        want = Batcher(engine, max_batch=4).serve(requests)
+        proxy = _Interrupting(engine, "second batch")
+        batcher = Batcher(proxy, max_batch=4)
+        pendings = [batcher.submit(ids) for ids in requests]
+        with pytest.raises(KeyboardInterrupt):
+            batcher.flush()
+        assert [p.done for p in pendings] == [True] * 4 + [False] * 6
+        _assert_rows_equal([p.result for p in pendings[:4]], want[:4])
+        assert len(batcher) == 6
+        proxy.armed, proxy.batches = False, []
+        _assert_rows_equal(batcher.flush(), want[4:])
+        np.testing.assert_array_equal(np.concatenate(proxy.batches), requests[4:])
+        _assert_rows_equal([p.result for p in pendings], want)
+        assert len(batcher) == 0
+
+    def test_interrupt_inside_submit_leaves_the_queue_whole(
+        self, engine, monkeypatch
+    ):
+        """A ``KeyboardInterrupt`` that lands while ``submit`` builds its
+        request (here from the request's clock) queues nothing: the requests
+        queued before it, and the request submitted again, flush and serve
+        their own rows."""
+        requests = np.random.default_rng(8).integers(0, V, size=(4, L))
+        batcher = Batcher(engine, max_batch=4)
+        pendings = [batcher.submit(ids) for ids in requests[:3]]
+        clock = batcher_module.time.perf_counter
+
+        def interrupted():
+            monkeypatch.setattr(batcher_module.time, "perf_counter", clock)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(batcher_module.time, "perf_counter", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            batcher.submit(requests[3])
+        assert len(batcher) == 3
+        pendings.append(batcher.submit(requests[3]))
+        want = engine.predict(requests)
+        _assert_rows_equal(batcher.flush(), want)
+        _assert_rows_equal([p.result for p in pendings], want)
+
+
+class TestTracedSession:
+    def test_replaced_methods_on_live_instances_are_called(self):
+        """A tracer replaces ``batcher.submit``, ``engine.predict`` and
+        ``engine.validate_ids`` on the live objects; the session's
+        ``submit`` and ``flush`` must still reach every replacement."""
+        model = build_pointwise_ranker(
+            "memcom", V, C, input_length=L, embedding_dim=E,
+            num_hash_embeddings=32, rng=0,
+        )
+        session = ServeSession.from_model(model, max_batch=4)
+        calls = {"submit": 0, "predict": 0, "validate_ids": 0}
+
+        def counted(obj, name):
+            real = getattr(obj, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            setattr(obj, name, wrapper)
+
+        counted(session.batcher, "submit")
+        counted(session.engine, "predict")
+        counted(session.engine, "validate_ids")
+        requests = np.random.default_rng(7).integers(0, V, size=(6, L))
+        for ids in requests:
+            session.submit(ids)
+        got = session.flush()
+        assert calls == {"submit": 6, "predict": 2, "validate_ids": 2}
+        _assert_rows_equal(got, InferenceEngine(model).predict(requests))
+
 
 class _Interrupting:
-    """An engine whose ``vocab_size`` read (the flush's range check) or
-    ``predict`` raises ``KeyboardInterrupt`` while armed."""
+    """An engine that raises ``KeyboardInterrupt`` while armed: from its
+    ``vocab_size`` read (the flush's range check), from every ``predict``
+    (``"engine"``) or from every ``predict`` after the first
+    (``"second batch"``)."""
 
     def __init__(self, engine, where: str) -> None:
         self._engine = engine
         self._where = where
+        #: the ids of every ``predict`` call
+        self.batches = []
         self.armed = True
         self.input_length = engine.input_length
 
@@ -212,6 +326,10 @@ class _Interrupting:
         return self._engine.vocab_size
 
     def predict(self, ids):
-        if self.armed and self._where == "engine":
+        self.batches.append(np.array(ids))
+        if self.armed and (
+            self._where == "engine"
+            or self._where == "second batch" and len(self.batches) > 1
+        ):
             raise KeyboardInterrupt
         return self._engine.predict(ids)

@@ -193,6 +193,21 @@ class TestEngineValidation:
         with pytest.raises(IndexError):
             engine.predict(np.full((1, L), -1, dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.int32, ">i8", np.uint64])
+    def test_other_id_dtypes_are_range_checked_too(self, dtype):
+        """Every integer dtype and byte order is range-checked as its int64
+        copy, where a uint64 id of 2**63 or more wraps negative."""
+        engine = InferenceEngine(_model())
+        below = 2**63 if np.dtype(dtype).kind == "u" else -1
+        with pytest.raises(IndexError):
+            engine.predict(np.full((1, L), V, dtype=dtype))
+        with pytest.raises(IndexError):
+            engine.predict(np.full((1, L), below, dtype=dtype))
+        ids = np.array([[0] * (L - 1) + [V - 1]], dtype=dtype)
+        np.testing.assert_array_equal(
+            engine.predict(ids), engine.predict(ids.astype(np.int64))
+        )
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
     def test_rejects_non_integer_ids(self, dtype):
         engine = InferenceEngine(_model(), cache_rows=64)

@@ -92,6 +92,21 @@ class TestFromModel:
         flushed = np.stack(session.flush())
         np.testing.assert_array_equal(flushed, InferenceEngine(model).predict(ids))
 
+    @pytest.mark.parametrize("max_delay_ms", [0.0, 60_000.0])
+    def test_serve_returns_every_requests_row(self, max_delay_ms):
+        """Rows of auto-flushed requests come back too: one per request,
+        in order, whether the deadline or a full batch flushed them."""
+        model = _model()
+        session = ServeSession.from_model(
+            model, max_batch=4, max_delay_ms=max_delay_ms
+        )
+        ids = _ids(10)
+        rows = session.serve(ids)
+        assert len(rows) == len(ids)
+        np.testing.assert_array_equal(
+            np.stack(rows), InferenceEngine(model).predict(ids)
+        )
+
     def test_max_delay_zero_flushes_every_submit(self):
         session = ServeSession.from_model(_model(), max_delay_ms=0.0, max_batch=64)
         first = session.submit(_ids(1)[0])
