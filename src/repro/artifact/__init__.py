@@ -3,8 +3,9 @@
 The deployment contract: :func:`save_artifact` flattens a trained model
 into a ``manifest.json`` + raw-binary-payload container (directory or
 zip), :func:`load_artifact` verifies and reopens it, and
-:class:`repro.serve.ServeSession` serves from either form.  FP32 plans
-store the embedding's rebuild spec + state; int8/int4 plans store real
+:class:`repro.serve.ServeSession` serves from either form.  Every width
+stores the embedding as its frozen form (:mod:`repro.frozen`): FP32 plans
+one FP32 payload per form table, int8/int4 plans real
 :class:`~repro.quant.QuantizedTable` codes + scales, so artifact bytes
 shrink with the storage width.  See DESIGN.md §8.
 """
@@ -26,14 +27,9 @@ from repro.artifact.errors import (
     ArtifactFormatError,
     ArtifactIntegrityError,
     ArtifactVersionError,
+    NonFiniteError,
 )
-from repro.artifact.plan import (
-    TowerPlan,
-    build_embedding_from_spec,
-    build_tower,
-    embedding_spec,
-    tower_plan_of,
-)
+from repro.artifact.plan import TowerPlan, build_tower
 
 __all__ = [
     "ArtifactError",
@@ -44,15 +40,13 @@ __all__ = [
     "FORMAT_VERSION",
     "READABLE_VERSIONS",
     "ModelArtifact",
+    "NonFiniteError",
     "PendingArtifact",
     "TowerPlan",
-    "build_embedding_from_spec",
     "build_tower",
     "collect_artifact",
-    "embedding_spec",
     "load_artifact",
     "read_manifest",
     "save_artifact",
     "save_delta",
-    "tower_plan_of",
 ]

@@ -13,11 +13,12 @@ is deliberately boring:
 
 * **manifest.json** carries everything structural: format magic + version,
   the payload index (dtype, shape, byte count, sha256 content hash per
-  payload), the tower plan (kind, pooling, scalar metadata, array names),
-  and the embedding section — either an FP32 rebuild spec + state-dict
-  names, or the quantized metadata (frozen-form tree, per-table layout,
-  calibration percentile) of a :class:`repro.quant.QuantizedEmbedding`,
-  whose every form table is one codes + scales payload pair.
+  payload), the tower plan (kind, pooling, scalar metadata; its arrays are
+  the ``tower/*`` payloads), and the embedding section — the technique's
+  frozen-form tree (:mod:`repro.frozen`), plus at int8/int4 the per-table
+  layout and calibration percentile of a
+  :class:`repro.quant.QuantizedEmbedding`.  Every form table is one
+  payload at FP32 and one codes + scales payload pair at int8/int4.
 * **payloads** are raw bytes — ``np.ndarray.tobytes()`` on save,
   ``np.frombuffer`` on load — so an int8 table costs one byte per code on
   disk, which is what makes the int8 artifact ≤ 0.35× its FP32 sibling.
@@ -46,6 +47,12 @@ Format v3 adds three storage-plane features on top of the v2 layout
   resolves the chain transparently to a full view, re-verifying every
   reconstructed payload against its recorded full-content sha256 — a
   corrupted or broken chain raises :class:`ArtifactIntegrityError`.
+
+Format v4 stores the FP32 embedding as its frozen form, as int8/int4
+sections already did, so serving any v4 container builds no module.  The
+FP32 sections of v1–v3 stored a constructor recipe plus the module's state
+dict; :mod:`repro.artifact.legacy` reads those, and the reader dispatches
+on the section's contents, not on the version number.
 
 Every eager load verifies the per-payload sha256 before any array is
 handed to the serving stack; failures raise the typed errors of
@@ -79,13 +86,10 @@ from repro.artifact.errors import (
     ArtifactFormatError,
     ArtifactIntegrityError,
     ArtifactVersionError,
+    NonFiniteError,
 )
-from repro.artifact.plan import (
-    TowerPlan,
-    build_embedding_from_spec,
-    embedding_spec,
-    tower_plan_of,
-)
+from repro.artifact.plan import TowerPlan
+from repro.frozen import FrozenForm
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
 from repro.quant.table import QuantizedTable
 
@@ -106,12 +110,13 @@ FORMAT_MAGIC = "repro.model-artifact"
 #: Written by this runtime.  v3 = v2 plus content-addressed payload
 #: aliasing, an optional ``delta`` provenance section, and mmap-friendly
 #: guarantees (payload members are raw C-order bytes at offset 0 — which
-#: they always were; v3 merely promises it).
-FORMAT_VERSION = 3
-#: Versions this runtime can open.  v1 containers (PR 4) never carry a
-#: checkpoint; v2 (PR 8) adds the checkpoint section; both predate
-#: aliasing/deltas, so their entries read through the same generic path.
-READABLE_VERSIONS = (1, 2, 3)
+#: they always were; v3 merely promises it).  v4 stores the FP32 embedding
+#: as its frozen form instead of a rebuild spec plus state dict.
+FORMAT_VERSION = 4
+#: Versions this runtime can open.  v1 containers never carry a
+#: checkpoint; v2 adds the checkpoint section; both predate aliasing and
+#: deltas, so their entries read through the same generic path.
+READABLE_VERSIONS = (1, 2, 3, 4)
 
 _MANIFEST = "manifest.json"
 _PAYLOAD_DIR = "payloads"
@@ -382,7 +387,9 @@ def _check_manifest(raw: bytes, path: str) -> dict:
             f"{path!r} manifest does not declare format {FORMAT_MAGIC!r}"
         )
     version = manifest.get("format_version")
-    if version not in READABLE_VERSIONS:
+    # A JSON integer only: ``in`` compares with ==, which would read true
+    # as v1 and 3.0 as v3.
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise ArtifactVersionError(
             f"artifact format version {version!r} not readable by this runtime "
             f"(readable: {', '.join(map(str, READABLE_VERSIONS))})"
@@ -694,7 +701,7 @@ class ModelArtifact:
 
     Handed out by :func:`save_artifact` and :func:`load_artifact`; consumed
     by :meth:`repro.serve.ServeSession.load`.  The arrays here are the
-    *storage* forms — FP32 state tensors, or int8/int4 codes plus scales —
+    *storage* forms — FP32 form tables, or int8/int4 codes plus scales —
     and :meth:`serving_embedding` / :meth:`tower_plan` reconstitute the
     serving-side objects from them.  A delta artifact's arrays are already
     chain-resolved: they are the full target state.
@@ -796,39 +803,46 @@ class ModelArtifact:
 
     # -- reconstruction ---------------------------------------------------------
 
+    def _payloads_under(self, prefix: str) -> dict[str, np.ndarray]:
+        """A section's arrays, keyed by their payload names after ``prefix``."""
+        return {
+            name[len(prefix):]: arr for name, arr in self._arrays.items()
+            if name.startswith(prefix)
+        }
+
     def tower_plan(self) -> TowerPlan:
         tower = self.manifest["tower"]
         meta = dict(tower["meta"])
-        arrays = {key: self.array(f"tower/{key}") for key in tower["arrays"]}
+        arrays = self._payloads_under("tower/")
         return TowerPlan(tower["kind"], int(tower["pool"]), meta=meta, arrays=arrays)
 
     def serving_embedding(self):
         """The embedding in its serving form.
 
-        FP32 artifacts return the rebuilt technique module (exact floats via
-        its state dict); quantized artifacts return a
-        :class:`~repro.quant.QuantizedEmbedding` adopting the stored codes.
+        FP32 artifacts return a :class:`~repro.frozen.FrozenForm` over the
+        stored FP32 arrays (mmap-backed ones are served without a copy);
+        quantized artifacts return a :class:`~repro.quant.QuantizedEmbedding`
+        adopting the stored codes.
         """
         section = self.manifest["embedding"]
         kind = section.get("kind")
+        if kind == "fp32" and "form" not in section:  # v1–v3: spec + state
+            from repro.artifact.legacy import legacy_fp32_form
+
+            state = self._payloads_under("embedding/")
+            return legacy_fp32_form(section.get("spec"), state, self.mmap_backed)
         if kind == "fp32":
-            # lazy=True: every parameter is replaced by the state load below,
-            # so random-filling a vocab-size table first is pure waste — and
-            # would materialize the very pages an mmap load avoids touching.
-            spec = section["spec"]
-            emb = build_embedding_from_spec(spec, lazy=True)
-            state = {key: self.array(f"embedding/{key}") for key in section["state"]}
             try:
-                # mmap arrays are adopted without copying (copy=False) — the
-                # zero-copy chain artifact → module → engine; eager arrays
-                # are already this artifact's own copies but stay owned by
-                # it, so they are copied into the module as before.
-                emb.load_state_dict(state, copy=not self.mmap_backed)
-            except (KeyError, ValueError) as exc:
+                return FrozenForm.from_spec(
+                    section["form"], self._payloads_under("embedding/"),
+                    technique=section["technique"],
+                    vocab_size=section["vocab_size"],
+                    output_dim=section["output_dim"],
+                )
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ArtifactFormatError(
-                    f"embedding state does not fit spec {spec.get('class')!r}: {exc}"
+                    f"malformed FP32 embedding section: {exc!r}"
                 ) from exc
-            return emb.eval()
         if kind != "quantized":
             raise ArtifactFormatError(f"unknown embedding kind {kind!r}")
         # The payload hashes only prove the tensors are intact; a manifest
@@ -879,7 +893,7 @@ class PendingArtifact:
     """A collected-but-unwritten artifact: manifest skeleton + snapshots.
 
     :func:`collect_artifact` does all the model reads synchronously —
-    state dicts, tower snapshots, quantization — so :meth:`write` touches
+    table copies, tower snapshots, quantization — so :meth:`write` touches
     only these frozen arrays.  That split is what makes async
     checkpointing safe: training may mutate the model while the write
     thread serializes the snapshot.
@@ -913,36 +927,34 @@ def collect_artifact(
         raise ValueError("training checkpoints require bits=32 (FP32 state)")
     if not hasattr(model, "embedding"):
         raise TypeError(f"no artifact export for model type {type(model).__name__}")
+    # Imported here: exporting needs a live model, whose classes are loaded
+    # already, while loading an artifact never reads one.
+    from repro.models.tower import tower_plan_of
+
     model.eval()
     plan = tower_plan_of(model)
-    emb = model.embedding
+    form = model.embedding.frozen()
     store = _Store()
 
     for key, arr in plan.arrays.items():
         store.add(f"tower/{key}", arr)
-    tower_section = {
-        "kind": plan.kind,
-        "pool": plan.pool,
-        "meta": plan.meta,
-        "arrays": sorted(plan.arrays),
-    }
+    # The tower's arrays are named by their payloads (``tower/<name>``).
+    tower_section = {"kind": plan.kind, "pool": plan.pool, "meta": plan.meta}
 
     embedding_section: dict = {
-        "technique": getattr(emb, "technique", type(emb).__name__),
-        "vocab_size": int(getattr(emb, "vocab_size", 0)),
-        "output_dim": int(emb.output_dim),
+        "technique": form.technique,
+        "vocab_size": form.vocab_size,
+        "output_dim": form.output_dim,
     }
     if bits == 32:
-        spec = embedding_spec(emb)
-        state = emb.state_dict()
-        for key, arr in state.items():
-            store.add(f"embedding/{key}", arr)
-        embedding_section.update(
-            {"kind": "fp32", "spec": spec, "state": sorted(state)}
-        )
+        # One FP32 payload per form table: copies, as a state dict holds,
+        # so training may go on while the write runs.
+        for name, table in form.tables.items():
+            store.add(f"embedding/{name}", table.data.copy())
+        embedding_section.update({"kind": "fp32", "form": form.spec()})
     else:
         # One codes/scales payload pair per form table.
-        meta, tables = quantize_embedding(emb, bits, percentile=percentile).state()
+        meta, tables = quantize_embedding(form, bits, percentile=percentile).state()
         table_metas = {}
         for name, table in tables.items():
             store.add(f"embedding/{name}.codes", table.codes)
@@ -975,7 +987,20 @@ def collect_artifact(
         for name, arr in ckpt_arrays.items():
             store.add(_CHECKPOINT_PREFIX + name, np.asarray(arr))
         manifest["checkpoint"] = {"meta": ckpt_meta, "arrays": sorted(ckpt_arrays)}
+    _check_finite(store)
     return PendingArtifact(manifest, store)
+
+
+def _check_finite(store: _Store) -> None:
+    """Refuse NaN and ±inf in any float payload, before anything is written
+    (a min and a max per payload, which allocate nothing)."""
+    for name, arr in store.arrays.items():
+        if arr.dtype.kind == "f" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+            where = np.argwhere(~np.isfinite(arr))[0]
+            raise NonFiniteError(
+                f"payload {name!r} holds a non-finite value in row "
+                f"{int(where[0]) if where.size else 0}; nothing was written"
+            )
 
 
 def save_artifact(
@@ -987,9 +1012,12 @@ def save_artifact(
 ) -> ModelArtifact:
     """Export ``model`` as a serving artifact at ``path`` (dir, or ``*.zip``).
 
-    ``bits=32`` stores the FP32 embedding state plus its rebuild spec;
-    ``bits ∈ {8, 4}`` calibrates through :func:`repro.quant.quantize_embedding`
-    (optionally percentile-clipped) and stores the integer codes + scales.
+    ``bits=32`` stores the embedding's frozen form with one FP32 payload
+    per form table; ``bits ∈ {8, 4}`` calibrates that form through
+    :func:`repro.quant.quantize_embedding` (optionally percentile-clipped)
+    and stores the integer codes + scales.  Every float payload is checked
+    first: NaN or ±inf raises :class:`~repro.artifact.NonFiniteError` (or,
+    in a table being calibrated, ``ValueError``) and nothing is written.
     The tower is stored FP32 in all cases — the paper's on-device setting
     quantizes storage, not arithmetic.
 

@@ -15,6 +15,7 @@ __all__ = [
     "ArtifactFormatError",
     "ArtifactIntegrityError",
     "ArtifactVersionError",
+    "NonFiniteError",
 ]
 
 
@@ -25,6 +26,11 @@ class ArtifactError(Exception):
 class ArtifactFormatError(ArtifactError):
     """The container is not a model artifact or its manifest is malformed
     (missing manifest, wrong magic, absent/ill-typed required fields)."""
+
+
+class NonFiniteError(ArtifactFormatError):
+    """An export was asked to store NaN or ±inf (raised before anything is
+    written, naming the payload and its first bad row)."""
 
 
 class ArtifactVersionError(ArtifactError):

@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument(
         "--bits", type=int, choices=(32, 8, 4), default=32,
-        help="storage width: 32 stores FP32 state, 8/4 store real "
-        "QuantizedTable codes + scales",
+        help="storage width: 32 stores the frozen form's FP32 tables, 8/4 "
+        "store real QuantizedTable codes + scales",
     )
     p_export.add_argument(
         "--percentile", type=float, default=None,

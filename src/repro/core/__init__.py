@@ -5,7 +5,7 @@ techniques it compares against, a name-based registry for sweeps, analytic
 sizing math, collision analytics, and the Appendix A.4 uniqueness audit.
 """
 
-from repro.core.base import HASH_PRIME, CompressedEmbedding, universal_hash
+from repro.core.base import CompressedEmbedding
 from repro.core.collisions import (
     PROPERTIES_TABLE,
     CollisionStats,
@@ -43,6 +43,7 @@ from repro.core.sizing import (
 )
 from repro.core.truncate import TruncateRareEmbedding
 from repro.core.uniqueness import UniquenessReport, audit_uniqueness, count_close_pairs
+from repro.frozen import HASH_PRIME, universal_hash
 
 __all__ = [
     "HASH_PRIME",

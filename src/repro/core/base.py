@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.frozen import HASH_PRIME, FrozenForm, universal_hash
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
 __all__ = ["CompressedEmbedding", "universal_hash", "HASH_PRIME"]
-
-# A Mersenne prime comfortably above every vocabulary in Table 2; universal
-# hashing needs p > max id.
-HASH_PRIME = (1 << 61) - 1
 
 
 class CompressedEmbedding(Module):
@@ -58,12 +55,10 @@ class CompressedEmbedding(Module):
         return indices
 
     def frozen(self):  # pragma: no cover - interface
-        """This technique's eval forward as a :class:`~repro.core.frozen.FrozenForm`."""
+        """This technique's eval forward as a :class:`~repro.frozen.FrozenForm`."""
         raise NotImplementedError
 
     def _form(self, tables: dict, root):
-        from repro.core.frozen import FrozenForm
-
         return FrozenForm(self.technique, self.vocab_size, self.output_dim, tables, root)
 
     def table_parameters(self) -> int:
@@ -75,30 +70,3 @@ class CompressedEmbedding(Module):
             f"{type(self).__name__}(technique={self.technique!r}, v={self.vocab_size}, "
             f"dim={self.output_dim}, params={self.table_parameters()})"
         )
-
-
-def universal_hash(indices: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
-    """Salted 64-bit mixing hash of ids into ``[0, m)``.
-
-    ``(a, b)`` select a member of the family (two members behave like
-    independent hash functions, which double hashing requires).  The mixer
-    is the splitmix64 finalizer — a naive affine hash ``(a·i + b) mod m``
-    is *not* good enough here: for ids below the modulus it degenerates to
-    a function of ``i mod m``, making the two double-hashing functions
-    perfectly correlated and destroying the ``1/m²`` collision rate the
-    technique is built on.
-    """
-    if m <= 0:
-        raise ValueError("hash range m must be positive")
-    if not 1 <= a < HASH_PRIME or not 0 <= b < HASH_PRIME:
-        raise ValueError("hash coefficients out of range")
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        raise TypeError(f"hash input must be integers, got {idx.dtype}")
-    with np.errstate(over="ignore"):
-        z = idx.astype(np.uint64) + np.uint64(a & 0xFFFFFFFFFFFFFFFF)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = z + np.uint64(b & 0xFFFFFFFFFFFFFFFF) * np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(m)).astype(np.int64)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import CompressedEmbedding, universal_hash
-from repro.core.frozen import Combine, Gather
+from repro.core.base import CompressedEmbedding
+from repro.frozen import Combine, Gather, universal_hash
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
-from repro.core.frozen import Combine, Gather
+from repro.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.layers import Dense
 from repro.nn.tensor import Parameter, Tensor

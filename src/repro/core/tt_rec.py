@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
-from repro.core.frozen import Combine, Gather
+from repro.frozen import Combine, Gather
 from repro.nn import init, ops
 from repro.nn.tensor import Parameter, Tensor
 from repro.utils.rng import ensure_rng

@@ -13,7 +13,7 @@ they touch and *how*:
   approach" is charged this way, which is the whole Table 3 story).
 
 ``export_model`` understands the three paper architectures; the embedding
-stage is priced from the technique's frozen form (:mod:`repro.core.frozen`)
+stage is priced from the technique's frozen form (:mod:`repro.frozen`)
 by one tree walk — a gather op per table, an op per combine — so every
 technique with a ``frozen()`` exports with no per-technique code here.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.frozen import Gather
+from repro.frozen import Gather
 from repro.models.classifier import EmbeddingClassifier
 from repro.models.pointwise import PointwiseRanker
 from repro.models.ranknet import RankNet

@@ -3,16 +3,19 @@
 Training composes a row through autograd ops; serving, integer storage and
 the device export only need to know *what* a technique computes.  Every
 technique's ``frozen()`` states that as data — a :class:`FrozenForm`: named
-2-D **tables** (a ``Parameter``, or once calibrated a
-:class:`~repro.quant.QuantizedTable`) and a tree of :class:`Gather` leaves
-(one gather per table through an index map of :data:`INDEX_MAPS`) under
-:class:`Combine` nodes (one op of :data:`COMBINES`) — the idiom of one
-lookup op plus an aggregator (SNIPPETS.md 1–2).  Each ``frozen()`` repeats
-its module's eval forward op for op, so :func:`compose` returns the
-module's rows bit for bit.  The form is data, not a callable, because
-three readers consume it: the serving engine composes FP32 rows from
-snapshot gathers, :mod:`repro.quant` stores every table as integer codes,
-and :mod:`repro.device.export` prices each node as device ops.
+2-D **tables** (a ``Parameter`` of the live module, the plain FP32 array an
+artifact stores, or once calibrated a :class:`~repro.quant.QuantizedTable`)
+and a tree of :class:`Gather` leaves (one gather per table through an index
+map of :data:`INDEX_MAPS`) under :class:`Combine` nodes (one op of
+:data:`COMBINES`) — the idiom of one lookup op plus an aggregator
+(SNIPPETS.md 1–2).  Each ``frozen()`` repeats its module's eval forward op
+for op, so :func:`compose` returns the module's rows bit for bit.  The form
+is data, not a callable, because three readers consume it: the serving
+engine composes FP32 rows from snapshot gathers, :mod:`repro.quant` stores
+every table as integer codes, and :mod:`repro.device.export` prices each
+node as device ops.  Artifacts store it at every width: the tree as JSON
+(:meth:`FrozenForm.spec`), one payload per table.  This module imports
+only numpy, so serving a stored form loads no training code.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from repro.core.base import universal_hash
-
 __all__ = [
-    "COMBINES", "INDEX_MAPS", "Combine", "FrozenForm", "Gather", "compose",
-    "hashed_bag", "index_rows",
+    "COMBINES", "HASH_PRIME", "INDEX_MAPS", "Combine", "FrozenForm", "Gather",
+    "compose", "hashed_bag", "index_rows", "universal_hash",
 ]
+
+# A Mersenne prime comfortably above every vocabulary in Table 2; universal
+# hashing needs p > max id.
+HASH_PRIME = (1 << 61) - 1
 
 #: index maps a gather may apply to the ids:
 #: ``id``; ``mod m``; ``div m``; ``digit d r`` = ``(id // d) % r`` (a TT
@@ -139,6 +144,33 @@ def _node_from_spec(spec: dict) -> Node:
 
 
 # -- evaluation ---------------------------------------------------------------------
+
+
+def universal_hash(indices: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
+    """Salted 64-bit mixing hash of ids into ``[0, m)``.
+
+    ``(a, b)`` select a member of the family (two members behave like
+    independent hash functions, which double hashing requires).  The mixer
+    is the splitmix64 finalizer — a naive affine hash ``(a·i + b) mod m``
+    is *not* good enough here: for ids below the modulus it degenerates to
+    a function of ``i mod m``, making the two double-hashing functions
+    perfectly correlated and destroying the ``1/m²`` collision rate the
+    technique is built on.
+    """
+    if m <= 0:
+        raise ValueError("hash range m must be positive")
+    if not 1 <= a < HASH_PRIME or not 0 <= b < HASH_PRIME:
+        raise ValueError("hash coefficients out of range")
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"hash input must be integers, got {idx.dtype}")
+    with np.errstate(over="ignore"):
+        z = idx.astype(np.uint64) + np.uint64(a & 0xFFFFFFFFFFFFFFFF)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = z + np.uint64(b & 0xFFFFFFFFFFFFFFFF) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z % np.uint64(m)).astype(np.int64)
 
 
 def index_rows(index: tuple, ids: np.ndarray) -> np.ndarray:

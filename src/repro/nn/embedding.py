@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.frozen import FrozenForm, Gather
 from repro.nn import init, ops
 from repro.nn.layers import Module
 from repro.nn.tensor import Parameter, Tensor
@@ -52,9 +53,7 @@ class Embedding(Module):
         return ops.embedding_lookup(self.weight, indices)
 
     def frozen(self):
-        """The serving form: one gather (see :mod:`repro.core.frozen`)."""
-        from repro.core.frozen import FrozenForm, Gather  # repro.core sits above nn
-
+        """The serving form: one gather (see :mod:`repro.frozen`)."""
         return FrozenForm(
             type(self).__name__, self.num_embeddings, self.output_dim,
             {"table": self.weight}, Gather("table"),

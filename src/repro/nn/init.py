@@ -7,8 +7,6 @@ Every initializer takes the target shape and a ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.nn.tensor import DEFAULT_DTYPE
@@ -21,39 +19,11 @@ __all__ = [
     "zeros",
     "ones",
     "constant",
-    "lazy_init",
 ]
-
-#: >0 while inside :func:`lazy_init` — random initializers return zeros
-_lazy_depth = 0
-
-
-@contextlib.contextmanager
-def lazy_init():
-    """Make random initializers return untouched zero pages.
-
-    Rebuilding a module whose every parameter is about to be replaced by a
-    strict ``load_state_dict`` (the artifact path) pays for random fills it
-    immediately discards — for a vocab-size table, that is the entire cost
-    of "instantiate the class".  Inside this context the random
-    initializers return ``np.zeros`` instead: calloc'd virtual pages the
-    kernel never materializes, so construction is O(metadata) regardless
-    of table size.  Deterministic initializers are untouched.  Only safe
-    when the constructed values are guaranteed dead — a strict state load
-    raises on any missing key, which is exactly that guarantee.
-    """
-    global _lazy_depth
-    _lazy_depth += 1
-    try:
-        yield
-    finally:
-        _lazy_depth -= 1
 
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform: U(-l, l), l = sqrt(6 / (fan_in + fan_out))."""
-    if _lazy_depth:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)
@@ -61,8 +31,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
 
 def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He uniform: U(-l, l), l = sqrt(6 / fan_in) — for ReLU stacks."""
-    if _lazy_depth:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     fan_in, _ = _fans(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)
@@ -75,14 +43,10 @@ def uniform(
     high: float = 0.05,
 ) -> np.ndarray:
     """Uniform init; defaults match Keras' Embedding ``RandomUniform``."""
-    if _lazy_depth:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     return rng.uniform(low, high, size=shape).astype(DEFAULT_DTYPE)
 
 
 def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.05) -> np.ndarray:
-    if _lazy_depth:
-        return np.zeros(shape, dtype=DEFAULT_DTYPE)
     return (rng.standard_normal(size=shape) * std).astype(DEFAULT_DTYPE)
 
 

@@ -10,7 +10,7 @@ weights at 8/4 bits.  :mod:`repro.device.quantize` *simulates* that
   percentile clipping) converting any per-id ``CompressedEmbedding`` —
   composed ones included — into :class:`QuantizedEmbedding`
   storage: one path for every technique, which stores each table of the
-  technique's frozen form (:mod:`repro.core.frozen`) as codes + scales;
+  technique's frozen form (:mod:`repro.frozen`) as codes + scales;
 * fused gather→dequantize kernels (:mod:`repro.quant.kernels`) whose
   outputs are bit-identical between the single-row and batched paths.
 

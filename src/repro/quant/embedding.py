@@ -1,9 +1,10 @@
-"""Calibrate a trained ``CompressedEmbedding`` into integer storage.
+"""Calibrate a technique's frozen form into integer storage.
 
-``quantize_embedding`` converts any per-id technique into a
+``quantize_embedding`` converts the frozen form of any per-id technique —
+a live module's ``frozen()``, or the form an FP32 artifact stores — into a
 :class:`QuantizedEmbedding`, whose row values are *exactly representable*
 as ``(codes, scale)`` pairs.  One path serves every technique: it stores
-each table of the technique's frozen form (:mod:`repro.core.frozen`) as a
+each table of the technique's frozen form (:mod:`repro.frozen`) as a
 :class:`QuantizedTable` — per-row scales for multi-column tables, one
 per-tensor scale for a single column (MEmCom's ``(v, 1)`` multiplier and
 bias, where a 4-byte per-row scale would outweigh the 1-byte payload) — so
@@ -33,9 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.base import CompressedEmbedding
-from repro.core.frozen import FrozenForm, compose
-from repro.core.full import FullEmbedding
+from repro.frozen import FrozenForm, compose
 from repro.quant.table import SUPPORTED_STORAGE_BITS, QuantizedTable
 
 __all__ = ["QuantizedEmbedding", "quantize_embedding"]
@@ -110,7 +109,7 @@ class QuantizedEmbedding:
         table = self.form.tables[name]
         return table.dense() if rows is None else table.gather(rows)
 
-    def dequantized(self) -> FullEmbedding:
+    def dequantized(self):
         """Materialize the exact served rows as an FP32 ``FullEmbedding``.
 
         Each row is the form composed over the decoded tables, as the
@@ -118,6 +117,8 @@ class QuantizedEmbedding:
         engine is the bit-for-bit reference for the quantized engine (the
         tower is FP32 in both).
         """
+        from repro.core.full import FullEmbedding  # the training stack, on demand
+
         table = np.empty((self.vocab_size, self.output_dim), dtype=np.float32)
         for start in range(0, self.vocab_size, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, self.vocab_size))
@@ -140,15 +141,17 @@ class QuantizedEmbedding:
 
 
 def quantize_embedding(
-    emb: CompressedEmbedding, bits: int, percentile: float | None = None
+    form: FrozenForm, bits: int, percentile: float | None = None
 ) -> QuantizedEmbedding:
-    """Calibration pass: trained embedding → integer serving storage.
+    """Calibration pass: a trained technique's frozen form → integer storage.
 
-    ``percentile`` enables outlier-clipped calibration (e.g. ``99.9``): each
-    row's scale comes from that percentile of its magnitudes and the tail
-    saturates, tightening the grid for the bulk of the distribution.
+    ``form`` holds FP32 tables: a live module's ``Parameter``s or an
+    artifact's arrays.  ``percentile`` enables outlier-clipped calibration
+    (e.g. ``99.9``): each row's scale comes from that percentile of its
+    magnitudes and the tail saturates, tightening the grid for the bulk of
+    the distribution.  A table holding NaN or ±inf raises ``ValueError``,
+    naming the table and its first bad row.
     """
-    form = emb.frozen()
     if form.pooled:
         raise TypeError(
             f"{form.technique} output is pooled, not per-row; it has no "
@@ -156,8 +159,15 @@ def quantize_embedding(
         )
     tables = {}
     for name, table in form.tables.items():
+        data = table if isinstance(table, np.ndarray) else table.data
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"{form.technique} form table {name!r} holds a non-finite value "
+                f"in row {int(np.argmin(finite))}; calibration refuses it"
+            )
         # per-row scales unless a single column (see the module docstring)
         tables[name] = QuantizedTable.from_dense(
-            table.data, bits, percentile=percentile, per_row=table.data.shape[1] > 1
+            data, bits, percentile=percentile, per_row=data.shape[1] > 1
         )
     return QuantizedEmbedding(replace(form, tables=tables), bits, percentile)

@@ -9,11 +9,13 @@ paying graph construction per request — and keep matching after the live
 model trains on, because the plan owns copies of the weights.
 
 The embedding stage serves the technique's frozen form
-(:mod:`repro.core.frozen`): every technique states its eval forward as
+(:mod:`repro.frozen`): every technique states its eval forward as
 tables, gathers and one combine, and this module evaluates it over
 snapshots of the tables — one path for every technique, no module
-fallback.  A read-only (mmap-backed) table is its own snapshot, so a
-mapped artifact is served without copying its tables.
+fallback.  A live model hands the engine ``model.embedding.frozen()``; an
+artifact hands it the form it stores.  A read-only (mmap-backed) table is
+its own snapshot, so a mapped artifact is served without copying its
+tables.
 
 An optional **LRU hot-row cache** (:class:`repro.serve.cache.LRUCache`)
 keyed on id stores *composed* FP32 embedding rows.  Each batch coalesces
@@ -46,11 +48,10 @@ adds whole ``(B, e)`` planes in the model's order over L.  An e = 1 plan
 keeps request-major rows, because numpy sums a contiguous width-1 window
 pairwise (DESIGN.md §6).
 
-The tower freeze itself lives in :mod:`repro.artifact.plan` as plain data
-(:class:`~repro.artifact.plan.TowerPlan`), so :meth:`InferenceEngine.from_parts`
-can assemble the identical closure chain from an on-disk
-:class:`~repro.artifact.ModelArtifact` — no model object required
-(DESIGN.md §8).
+The tower is plain data too (:class:`~repro.artifact.plan.TowerPlan`), so
+:meth:`InferenceEngine.from_artifact` assembles the identical closure chain
+from an on-disk :class:`~repro.artifact.ModelArtifact` — no model object,
+and no training code, required (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.artifact.errors import ArtifactFormatError
-from repro.artifact.plan import TowerPlan, build_tower, tower_plan_of
-from repro.core.frozen import compose
+from repro.artifact.plan import TowerPlan, build_tower
+from repro.frozen import FrozenForm, compose
 from repro.quant.embedding import QuantizedEmbedding, quantize_embedding
 from repro.quant.table import QuantizedTable
 from repro.serve.cache import LRUCache
@@ -79,19 +80,21 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
     serving plan.  A *read-only* array (an mmap-backed artifact payload)
     cannot belong to a live training model and cannot be mutated by anyone,
     so it is its own snapshot: copying it would materialize the exact bytes
-    the zero-copy load exists not to read.
+    the zero-copy load exists not to read.  It is served as a plain ndarray
+    view, because every array an ``np.memmap`` hands out (a gather, and each
+    op on it) runs the subclass's Python hooks.
     """
-    return arr if not arr.flags.writeable else arr.copy()
+    return np.asarray(arr) if not arr.flags.writeable else arr.copy()
 
 
 def _freeze_table(table) -> tuple["callable", int]:
     """``(take, nbytes)``: a row getter over a frozen table, and its bytes.
 
-    ``ids=None`` returns the whole table (a projection weight).  A
-    ``Parameter`` serves a snapshot of its array, and a gather is a plain
-    ``take`` into a fresh array: it raises on an out-of-range row, and
-    numpy's ``take(out=)`` would copy ``out`` into a temporary and back
-    rather than save the allocation.  A calibrated ``QuantizedTable`` is
+    ``ids=None`` returns the whole table (a projection weight).  An FP32
+    table — a ``Parameter`` or an artifact's array — serves a snapshot of
+    its array, and a gather is a plain ``take`` into a fresh array: it
+    raises on an out-of-range row, and numpy's ``take(out=)`` would copy
+    ``out`` into a temporary and back rather than save the allocation.  A calibrated ``QuantizedTable`` is
     never trained, so it is served as it is: a gather is its fused
     gather→dequantize, the whole table its ``dense()`` decode.
     """
@@ -100,7 +103,7 @@ def _freeze_table(table) -> tuple["callable", int]:
             return table.dense() if ids is None else table.gather(ids)
 
         return take_decoded, table.nbytes
-    arr = _snapshot(table.data)
+    arr = _snapshot(table if isinstance(table, np.ndarray) else table.data)
 
     def take_dense(ids: np.ndarray | None) -> np.ndarray:
         return arr if ids is None else arr.take(ids, axis=0)
@@ -214,9 +217,13 @@ class InferenceEngine:
     ) -> None:
         if not hasattr(model, "embedding") or not hasattr(model, "input_length"):
             raise TypeError(f"no serving plan for model type {type(model).__name__}")
+        # Imported here: only a live model needs it, and its classes are
+        # loaded already; an artifact's engine never imports the models.
+        from repro.models.tower import tower_plan_of
+
         model.eval()
         self._init_plan(
-            model.embedding,
+            model.embedding.frozen(),
             tower_plan_of(model),
             model_name=type(model).__name__,
             input_length=model.input_length,
@@ -228,42 +235,6 @@ class InferenceEngine:
         )
 
     @classmethod
-    def from_parts(
-        cls,
-        embedding,
-        tower_plan: TowerPlan,
-        *,
-        input_length: int,
-        model_name: str = "artifact",
-        cache_rows: int | None = None,
-        bits: int | None = None,
-        calibration_percentile: float | None = None,
-        cache_min_count: int = 1,
-        cache_ttl: int | None = None,
-    ) -> "InferenceEngine":
-        """Assemble an engine from pre-frozen parts — the artifact load path.
-
-        ``embedding`` is either a technique module (FP32 serving, or
-        freshly calibrated here when ``bits`` is 8/4) or an already-stored
-        :class:`~repro.quant.QuantizedEmbedding`, whose codes are adopted
-        *without* recalibration — that is what keeps a loaded artifact
-        bit-identical to the engine it was saved from.
-        """
-        self = object.__new__(cls)
-        self._init_plan(
-            embedding,
-            tower_plan,
-            model_name=model_name,
-            input_length=input_length,
-            bits=bits,
-            calibration_percentile=calibration_percentile,
-            cache_rows=cache_rows,
-            cache_min_count=cache_min_count,
-            cache_ttl=cache_ttl,
-        )
-        return self
-
-    @classmethod
     def from_artifact(cls, artifact, config) -> "InferenceEngine":
         """Build the serving plan of a loaded artifact under a ``ServeConfig``.
 
@@ -271,32 +242,29 @@ class InferenceEngine:
         serves it, and the multi-process runtime's fallback and every
         replica worker build theirs here from the same artifact and config
         (the hot-row cache decision included), so all of them run the same
-        floats.  An already-quantized artifact cannot be served at a
+        floats.  The embedding is the form the artifact stores — FP32
+        tables, or int8/int4 codes adopted *without* recalibration, which
+        keeps a loaded artifact bit-identical to the engine it was saved
+        from.  An already-quantized artifact cannot be served at a
         different width.
         """
-        embedding = artifact.serving_embedding()
-        if isinstance(embedding, QuantizedEmbedding) and config.bits not in (
-            None, embedding.bits,
-        ):
-            raise ArtifactFormatError(
-                f"artifact stores int{embedding.bits} codes; cannot serve it "
-                f"at bits={config.bits} (re-export from the FP32 model instead)"
-            )
-        return cls.from_parts(
-            embedding,
+        self = object.__new__(cls)
+        self._init_plan(
+            artifact.serving_embedding(),
             artifact.tower_plan(),
-            input_length=artifact.input_length,
             model_name=artifact.architecture,
-            cache_rows=config.cache_rows,
+            input_length=artifact.input_length,
             bits=config.bits,
             calibration_percentile=config.calibration_percentile,
+            cache_rows=config.cache_rows,
             cache_min_count=config.cache_min_count,
             cache_ttl=config.cache_ttl_batches,
         )
+        return self
 
     def _init_plan(
         self,
-        embedding,
+        embedding: FrozenForm | QuantizedEmbedding,
         tower_plan: TowerPlan,
         *,
         model_name: str,
@@ -307,27 +275,25 @@ class InferenceEngine:
         cache_min_count: int,
         cache_ttl: int | None,
     ) -> None:
-        """Shared body of both constructors: calibrate the embedding when
+        """Shared body of both constructors: calibrate an FP32 form when
         ``bits`` asks for integer storage, then wire plan, cache and tower."""
-        if isinstance(embedding, QuantizedEmbedding):
-            if bits is not None and int(bits) != embedding.bits:
-                raise ValueError(
-                    f"bits={bits} conflicts with the quantized embedding's "
-                    f"int{embedding.bits} storage"
+        if isinstance(embedding, QuantizedEmbedding):  # only artifacts store codes
+            if bits not in (None, embedding.bits):
+                raise ArtifactFormatError(
+                    f"artifact stores int{embedding.bits} codes; cannot serve it "
+                    f"at bits={bits} (re-export from the FP32 model instead)"
                 )
-            bits = embedding.bits
-            form = embedding.form
+            bits, form = embedding.bits, embedding.form
         else:
             bits = 32 if bits is None else int(bits)
             if bits not in (32, 8, 4):
                 raise ValueError(f"serving bits must be 32, 8 or 4, got {bits}")
-            if bits == 32:
-                form = embedding.eval().frozen()
-            else:
+            form = embedding
+            if bits != 32:
                 # Calibrate into integer storage (raises for the pooled
                 # one-hot encoder, which has no per-row storage).
                 form = quantize_embedding(
-                    embedding, bits, percentile=calibration_percentile
+                    form, bits, percentile=calibration_percentile
                 ).form
         self.model_name = model_name
         self.input_length = int(input_length)

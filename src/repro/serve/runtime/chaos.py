@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.data.zipf import ZipfSampler
 from repro.serve.runtime.faults import FaultSpec, corrupt_artifact_payload
 from repro.serve.runtime.retry import RetryPolicy
 from repro.serve.runtime.supervisor import ServingRuntime
@@ -163,7 +162,9 @@ def run_chaos(
     finishes in seconds; pass a production policy to rehearse real SLOs.
     """
     # Lazy: the session façade itself wires runtimes, so importing it at
-    # module scope would close an import cycle (session -> runtime -> chaos).
+    # module scope would close an import cycle (session -> runtime -> chaos);
+    # and the sampler's package, repro.data, is no part of serving.
+    from repro.data.zipf import ZipfSampler
     from repro.serve.session import ServeConfig, ServeSession
 
     if scenario not in CHAOS_SCENARIOS:

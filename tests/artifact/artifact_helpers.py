@@ -1,23 +1,47 @@
-"""Shared fixtures for the v3 artifact-plane tests.
+"""Shared fixtures for the artifact-plane tests.
 
-``downgrade`` materializes the v1/v2-equivalent of a v3 container — every
-payload expanded into its own member file, no aliases, no zero elision, no
-delta section — which is both the back-compat fixture (old readers wrote
-exactly this layout) and the size baseline the v3 dedup gate measures
-against.
+``downgrade`` materializes the v1/v2-equivalent of a current container —
+every payload expanded into its own member file, no aliases, no zero
+elision, no delta section — which is both the back-compat fixture (old
+readers wrote exactly this layout) and the size baseline the v3 dedup gate
+measures against.  ``legacy_fp32_spec`` writes a model as v1–v3 FP32
+writers did: a constructor recipe plus the module's state dict.
 """
 
+import hashlib
 import json
 import os
 import shutil
 
 import numpy as np
 
-from repro.artifact import load_artifact
+from repro.artifact import load_artifact, save_artifact
+
+
+def _write_old_layout(dst: str, manifest: dict, arrays: dict) -> str:
+    """One member file per payload: no aliasing, zero elision or delta."""
+    os.makedirs(os.path.join(dst, "payloads"))
+    index = {}
+    for name, arr in arrays.items():
+        member = os.path.join("payloads", name.replace("/", ".") + ".bin")
+        data = np.ascontiguousarray(arr).tobytes()
+        with open(os.path.join(dst, member), "wb") as fh:
+            fh.write(data)
+        index[name] = {
+            "file": member,
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "nbytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    manifest["payloads"] = index
+    with open(os.path.join(dst, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+    return dst
 
 
 def downgrade(src: str, dst: str, version: int) -> str:
-    """Write the v1/v2-equivalent container of the v3 artifact at ``src``.
+    """Write the v1/v2-equivalent container of the artifact at ``src``.
 
     v2 = same content, one member file per payload, no aliasing/zeros/delta.
     v1 additionally predates checkpoints: the checkpoint section and its
@@ -30,27 +54,61 @@ def downgrade(src: str, dst: str, version: int) -> str:
     manifest.pop("delta", None)
     if version == 1:
         manifest.pop("checkpoint", None)
+    arrays = {
+        name: art.array(name) for name in art.manifest["payloads"]
+        if version > 1 or not name.startswith("checkpoint/")
+    }
+    return _write_old_layout(dst, manifest, arrays)
 
-    os.makedirs(os.path.join(dst, "payloads"))
-    index = {}
-    for name, meta in art.manifest["payloads"].items():
-        if version == 1 and name.startswith("checkpoint/"):
-            continue
-        member = os.path.join("payloads", name.replace("/", ".") + ".bin")
-        arr = np.ascontiguousarray(art.array(name))
-        with open(os.path.join(dst, member), "wb") as fh:
-            fh.write(arr.tobytes())
-        index[name] = {
-            "file": member,
-            "dtype": meta["dtype"],
-            "shape": list(meta["shape"]),
-            "nbytes": int(meta["nbytes"]),
-            "sha256": meta["sha256"],
-        }
-    manifest["payloads"] = index
-    with open(os.path.join(dst, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    return dst
+
+#: the constructor recipe v1–v3 writers recorded per technique class:
+#: keyword=attribute, or a keyword read from the attribute of its name
+_SPEC_ATTRS = {
+    "FullEmbedding": "vocab_size embedding_dim",
+    "MEmComEmbedding":
+        "vocab_size embedding_dim num_hash_embeddings bias multiplier_init",
+    "TTRecEmbedding": "vocab_size embedding_dim tt_rank",
+    "FactorizedEmbedding": "vocab_size embedding_dim hidden_dim",
+    "ReducedDimEmbedding": "vocab_size reduced_dim=embedding_dim",
+    "TruncateRareEmbedding": "vocab_size embedding_dim keep",
+    "QREmbedding":
+        "vocab_size embedding_dim num_remainder_embeddings operation",
+    "NaiveHashEmbedding":
+        "vocab_size embedding_dim num_hash_embeddings hash_family",
+    "DoubleHashEmbedding": "vocab_size embedding_dim num_hash_embeddings",
+    "FrequencyDoubleHashEmbedding":
+        "vocab_size embedding_dim num_hash_embeddings keep",
+    "MixedDimEmbedding": "vocab_size embedding_dim num_blocks temperature",
+    "HashedOneHotEncoder":
+        "vocab_size embedding_dim num_hash_buckets signed average",
+}
+
+
+def legacy_fp32_spec(model, dst: str, version: int = 3) -> str:
+    """Write ``model`` as an FP32 container of format ``version`` (1–3) as
+    those writers laid it out: the embedding section a constructor recipe
+    (``spec``) plus state-dict names (``state``), one ``embedding/<key>``
+    payload per state-dict entry, one member file per payload."""
+    assert version in (1, 2, 3)
+    art = save_artifact(model, dst + ".current")
+    emb = model.embedding
+    spec = {"class": type(emb).__name__, "technique": emb.technique}
+    for item in _SPEC_ATTRS[spec["class"]].split():
+        key, _, attr = item.partition("=")
+        spec[key] = getattr(emb, attr or key)
+    state = emb.state_dict()
+    manifest = json.loads(json.dumps(art.manifest))  # deep copy
+    manifest["format_version"] = version
+    section = manifest["embedding"]
+    del section["form"]
+    section.update(spec=spec, state=sorted(state))
+    arrays = {
+        name: art.array(name) for name in art.manifest["payloads"]
+        if not name.startswith("embedding/")
+    }
+    arrays.update({f"embedding/{key}": arr for key, arr in state.items()})
+    shutil.rmtree(dst + ".current")
+    return _write_old_layout(dst, manifest, arrays)
 
 
 def legacy_quant_layout(src: str, dst: str, embedding) -> str:
@@ -108,12 +166,12 @@ def legacy_module_mode(src: str, dst: str) -> str:
     return dst
 
 
-def legacy_sharded_spec(src: str, dst: str) -> str:
-    """Rewrite the FP32 full or memcom container at ``src`` as a hash-sharded
-    export recorded it: the same rebuild spec under ``ShardedFullEmbedding``
-    or ``ShardedMEmComEmbedding`` with ``n_shards``.  Only the spec matters;
+def legacy_sharded_spec(model, dst: str) -> str:
+    """Write the full or memcom ``model`` as a hash-sharded v3 export
+    recorded it: the legacy FP32 spec under ``ShardedFullEmbedding`` or
+    ``ShardedMEmComEmbedding`` with ``n_shards``.  Only the spec matters;
     the reader refuses before it reads any state."""
-    shutil.copytree(src, dst)
+    legacy_fp32_spec(model, dst)
     path = os.path.join(dst, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)

@@ -1,12 +1,13 @@
-"""Back-compat matrix: v1/v2 containers — and quantized sections written
-before frozen forms — read bit-identically under the current reader.
+"""Back-compat matrix: v1/v2 containers, FP32 sections of v1–v3 (a
+constructor recipe plus a state dict) and quantized sections written
+before frozen forms read bit-identically under the current reader.
 
-Old writers are gone, so the fixtures are materialized in-test by
-``downgrade`` — the exact layout v1/v2 writers produced (one member file
-per payload, no aliases, no zero elision; v1 additionally has no
-checkpoint section).  Everything a v3 runtime can do with an old
-container — load, mmap, serve, resume — must agree with the v3 original
-byte for byte.
+Old writers are gone, so the fixtures are materialized in-test:
+``downgrade`` writes the exact layout v1/v2 writers produced (one member
+file per payload, no aliases, no zero elision; v1 additionally has no
+checkpoint section), and ``legacy_fp32_spec`` the FP32 section they wrote.
+Everything a current runtime can do with an old container — load, mmap,
+serve, resume — must agree with the current original byte for byte.
 """
 
 import json
@@ -18,12 +19,15 @@ import pytest
 
 from artifact_helpers import (
     downgrade,
+    legacy_fp32_spec,
     legacy_module_mode,
     legacy_quant_layout,
     legacy_sharded_spec,
 )
 from repro.artifact import load_artifact, save_artifact
 from repro.artifact.errors import ArtifactFormatError, ArtifactVersionError
+from repro.core.registry import available_techniques, default_hyper
+from repro.serve.engine import InferenceEngine
 from repro.serve.session import ServeConfig, ServeSession
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "pipeline"))
@@ -133,6 +137,41 @@ class TestV2CheckpointResume:
             assert np.array_equal(aa.array(name), bb.array(name)), name
 
 
+class TestLegacyFP32Sections:
+    """FP32 sections of v1–v3 store a constructor recipe plus the module's
+    state dict.  For every registered technique they serve what the model
+    serves, bit for bit, eager and mmap."""
+
+    @pytest.mark.parametrize("technique", available_techniques())
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_serves_bit_identical(self, tmp_path, technique, version, mmap):
+        from repro.models.builder import build_pointwise_ranker
+
+        # rng=1: the reader constructs with rng=0, so only a state load that
+        # adopts every array reproduces these weights.
+        model = build_pointwise_ranker(
+            technique, VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
+            rng=1, **default_hyper(technique, VOCAB, DIM, hash_fraction=8),
+        )
+        old = legacy_fp32_spec(model, str(tmp_path / "old"), version)
+        assert "spec" in load_artifact(old).manifest["embedding"]
+        ids = np.random.default_rng(5).integers(0, VOCAB, size=(24, LENGTH))
+        with ServeSession.load(old, ServeConfig(mmap=mmap)) as session:
+            assert session.artifact.manifest["format_version"] == version
+            assert np.array_equal(session.predict(ids), InferenceEngine(model).predict(ids))
+
+    def test_unknown_class_fails_typed(self, tmp_path):
+        old = legacy_fp32_spec(_model(), str(tmp_path / "old"))
+        mpath = os.path.join(old, "manifest.json")
+        manifest = json.load(open(mpath))
+        manifest["embedding"]["spec"]["class"] = "NoSuchEmbedding"
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ArtifactFormatError, match="NoSuchEmbedding"):
+            ServeSession.load(old)
+
+
 class TestLegacyQuantizedSections:
     """Quantized containers written before frozen forms: the table, memcom
     and tt_rec modes stored the same per-table payloads and still serve;
@@ -183,8 +222,7 @@ class TestLegacyQuantizedSections:
             "hash", VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
             rng=0, num_hash_embeddings=32,
         )
-        fp32 = str(tmp_path / "fp32")
-        save_artifact(model, fp32)
+        fp32 = legacy_fp32_spec(model, str(tmp_path / "fp32"))
         old = legacy_module_mode(fp32, str(tmp_path / "module"))
         with pytest.raises(ArtifactFormatError, match="'hash'.*re-export it from the FP32"):
             ServeSession.load(old)
@@ -204,9 +242,7 @@ class TestLegacyShardedSpec:
             request.param, VOCAB, CATALOG, input_length=LENGTH, embedding_dim=DIM,
             rng=0, **hyper,
         )
-        fp32 = str(tmp_path / "fp32")
-        save_artifact(model, fp32)
-        return legacy_sharded_spec(fp32, str(tmp_path / "sharded"))
+        return legacy_sharded_spec(model, str(tmp_path / "sharded"))
 
     def test_sharded_fp32_spec_fails_typed(self, sharded):
         with pytest.raises(ArtifactFormatError, match="re-export"):

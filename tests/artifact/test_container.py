@@ -142,6 +142,16 @@ class TestTypedErrors:
         with pytest.raises(ArtifactVersionError, match="version"):
             load_artifact(out)
 
+    @pytest.mark.parametrize("version", [True, 3.0, "3"], ids=["true", "3.0", "str"])
+    def test_non_integer_version_is_version_error(self, tmp_path, version):
+        """``in`` compares with ==, under which true reads as v1 and 3.0 as
+        v3: the version must be a JSON integer."""
+        out = str(tmp_path / "art")
+        save_artifact(_model(), out)
+        _rewrite_manifest(out, lambda m: m.update(format_version=version))
+        with pytest.raises(ArtifactVersionError, match="version"):
+            load_artifact(out)
+
     def test_missing_required_field_is_format_error(self, tmp_path):
         out = str(tmp_path / "art")
         save_artifact(_model(), out)
@@ -258,6 +268,28 @@ class TestTypedErrors:
         )
         with pytest.raises(ArtifactFormatError, match="quantized embedding"):
             load_artifact(out).serving_embedding()
+
+    def test_fp32_form_naming_a_missing_table_is_format_error(self, tmp_path):
+        out = str(tmp_path / "f")
+        save_artifact(_model(), out)
+        # memcom's form: add(mul(shared, multiplier), bias)
+        _rewrite_manifest(
+            out, lambda m: m["embedding"]["form"]["parts"][1].update(gather="nope")
+        )
+        with pytest.raises(ArtifactFormatError, match="FP32 embedding.*'nope'"):
+            load_artifact(out).serving_embedding()
+
+    @pytest.mark.parametrize("payload", ["tower/out.bias", "tower/norm.gamma"])
+    def test_missing_tower_payload_is_format_error(self, tmp_path, payload):
+        """The tower's arrays are named by its payloads: a manifest without
+        one fails typed, never serving a tower that lacks it."""
+        from repro.serve.session import ServeSession
+
+        out = str(tmp_path / "t")
+        save_artifact(_model(), out)
+        _rewrite_manifest(out, lambda m: m["payloads"].pop(payload))
+        with pytest.raises(ArtifactFormatError, match="tower plan has no"):
+            ServeSession.load(out)
 
     def test_missing_quant_meta_key_is_format_error(self, tmp_path):
         out = str(tmp_path / "q2")

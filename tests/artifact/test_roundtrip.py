@@ -1,18 +1,19 @@
 """Artifact round-trips serve bit-identical predictions.
 
-The acceptance matrix of the serving-artifact redesign: for every technique
-(full, MEmCom, TT-Rec, composed forms and the pooled one-hot encoder) ×
-``bits ∈ {32, 8, 4}``, ``ServeSession.load(save_artifact(model))`` must
-produce the same bytes as the in-memory :class:`InferenceEngine` on the
-same requests — not close, *equal*: the artifact stores either exact FP32
-state or the exact calibrated codes, and both ends decode through the same
-kernels.
+The acceptance matrix of the serving-artifact redesign: for every
+registered technique × ``bits ∈ {32, 8, 4}`` (FP32 only for the pooled
+one-hot encoder), ``ServeSession.load(save_artifact(model))`` must produce
+the same bytes as the in-memory :class:`InferenceEngine` on the same
+requests — not close, *equal*: the artifact stores the technique's frozen
+form — its tree as JSON, its tables as exact FP32 arrays or the exact
+calibrated codes — and both ends compose through the same kernels.
 """
 
 import numpy as np
 import pytest
 
 from repro.artifact import save_artifact
+from repro.core.registry import available_techniques
 from repro.models.builder import (
     build_classifier,
     build_pointwise_ranker,
@@ -29,12 +30,20 @@ CATALOG = 12
 _HYPER = {
     "full": {},
     "memcom": {"num_hash_embeddings": 32},
+    "memcom_nobias": {"num_hash_embeddings": 32},
     "tt_rec": {"tt_rank": 4},
     "qr_mult": {"num_hash_embeddings": 32},       # composed: two gathers, mul
-    "double_hash": {"num_hash_embeddings": 32},   # salted hashing, buffers matter
+    "qr_concat": {"num_hash_embeddings": 32},
+    "hash": {"num_hash_embeddings": 32, "hash_family": "universal"},  # salted
+    "double_hash": {"num_hash_embeddings": 32},   # salts in the index maps
+    "freq_double_hash": {"num_hash_embeddings": 32, "keep": 40},  # masked sum
     "factorized": {"hidden_dim": 4},
+    "reduce_dim": {"reduced_dim": 4},
+    "truncate_rare": {"keep": 50},
+    "mixed_dim": {"num_blocks": 3},               # masked sum of projections
     "hashed_onehot": {"num_hash_embeddings": 64},  # pooled: FP32 only
 }
+PER_ID = sorted(set(_HYPER) - {"hashed_onehot"})
 
 
 def _model(technique, architecture="pointwise", seed=0):
@@ -64,17 +73,14 @@ def _assert_roundtrip(model, tmp_path, bits):
 
 
 class TestMatrix:
-    @pytest.mark.parametrize("technique", ["full", "memcom", "tt_rec"])
-    @pytest.mark.parametrize("bits", [32, 8, 4])
-    def test_core_techniques(self, tmp_path, technique, bits):
-        _assert_roundtrip(_model(technique), tmp_path, bits)
+    def test_every_registered_technique_is_in_the_matrix(self):
+        assert set(_HYPER) == set(available_techniques())
 
-    @pytest.mark.parametrize("technique", ["qr_mult", "double_hash", "factorized"])
-    @pytest.mark.parametrize("bits", [32, 8])
-    def test_composed_form_techniques(self, tmp_path, technique, bits):
-        """Composed forms round-trip at FP32 through spec + state (the hash
-        salts travel as state-dict buffers) and at int8 through their forms'
-        codes (the salts travel in the forms' index maps)."""
+    @pytest.mark.parametrize("technique", PER_ID)
+    @pytest.mark.parametrize("bits", [32, 8, 4])
+    def test_per_id_techniques(self, tmp_path, technique, bits):
+        """Every form crosses JSON at every width: its tree (hash salts in
+        the index maps, masked-sum ranges, projections) and its tables."""
         _assert_roundtrip(_model(technique), tmp_path, bits)
 
     def test_pooled_onehot_fp32(self, tmp_path):

@@ -96,7 +96,7 @@ class TestQuantizeEmbedding:
     def test_rows_match_dequantized_reference(self, technique, bits):
         """Served rows ≡ the materialized FP32 reference, bit for bit."""
         model = _model(technique)
-        ref = quantize_embedding(model.embedding, bits).dequantized()
+        ref = quantize_embedding(model.embedding.frozen(), bits).dequantized()
         ids = np.array([0, 1, 5, V - 1, 5, 77])
         np.testing.assert_array_equal(
             _served(model, bits)(ids), _fp32_rows(ref, ids)
@@ -126,7 +126,7 @@ class TestQuantizeEmbedding:
         np.testing.assert_array_equal(oov[0], oov[2])
 
     def test_memcom_per_entity_columns_use_per_tensor_scales(self):
-        q = quantize_embedding(MEmComEmbedding(V, E, 32, rng=0), 8)
+        q = quantize_embedding(MEmComEmbedding(V, E, 32, rng=0).frozen(), 8)
         tables = q.form.tables
         assert tables["shared"].per_row and not tables["multiplier"].per_row
         # storage must beat FP32 on every component incl. the (v, 1) columns
@@ -134,7 +134,7 @@ class TestQuantizeEmbedding:
 
     def test_tt_rec_mode_contracts_quantized_cores(self):
         emb = TTRecEmbedding(V, E, 4, rng=1)
-        q = quantize_embedding(emb, 8)
+        q = quantize_embedding(emb.frozen(), 8)
         cores = [q.form.tables[f"core{i}"] for i in (1, 2, 3)]
         assert len(q.form.tables) == 3
         assert q.storage_bytes() == sum(c.nbytes for c in cores)
@@ -143,18 +143,18 @@ class TestQuantizeEmbedding:
         for technique in TECHNIQUES:
             emb = _embedding(technique)
             fp32 = sum(p.data.nbytes for p in emb.parameters())
-            q8 = quantize_embedding(emb, 8)
-            q4 = quantize_embedding(emb, 4)
+            q8 = quantize_embedding(emb.frozen(), 8)
+            q4 = quantize_embedding(emb.frozen(), 4)
             assert q4.storage_bytes() < q8.storage_bytes() < fp32, technique
 
     def test_pooled_onehot_rejected(self):
         enc = HashedOneHotEncoder(V, E, num_hash_buckets=32, rng=0)
         with pytest.raises(TypeError, match="pooled"):
-            quantize_embedding(enc, 8)
+            quantize_embedding(enc.frozen(), 8)
 
     def test_unsupported_bits_rejected(self):
         with pytest.raises(ValueError):
-            quantize_embedding(_embedding("full"), 16)
+            quantize_embedding(_embedding("full").frozen(), 16)
 
     def test_percentile_calibration_changes_grid(self):
         model = _model("full")
@@ -173,7 +173,7 @@ class TestEveryTechniqueHasIntegerStorage:
     def test_int8_is_at_most_035_of_fp32_and_int4_smaller(self, technique):
         emb = build_embedding(technique, 2000, 64, rng=1, **WIDE[technique])
         fp32 = sum(p.data.nbytes for p in emb.parameters())
-        q8, q4 = (quantize_embedding(emb, bits).storage_bytes() for bits in (8, 4))
+        q8, q4 = (quantize_embedding(emb.frozen(), bits).storage_bytes() for bits in (8, 4))
         assert q8 <= 0.35 * fp32
         assert q4 < q8
 
@@ -189,7 +189,7 @@ class TestOneRounding:
     def test_rows_equal_forward_over_decoded_tables(self, technique, bits, percentile):
         model = _model(technique, 2000, 64, WIDE[technique], seed=1)
         ids = np.random.default_rng(0).integers(0, 2000, 3000)
-        q = quantize_embedding(model.embedding, bits, percentile=percentile)
+        q = quantize_embedding(model.embedding.frozen(), bits, percentile=percentile)
         np.testing.assert_array_equal(
             _served(model, bits, percentile)(ids),
             _forward_on_decoded_tables(model.embedding, q, ids),

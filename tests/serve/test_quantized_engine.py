@@ -63,7 +63,9 @@ class TestQuantizedMatchesDequantizedReference:
         model = _model(architecture, technique)
         engine = InferenceEngine(model, bits=bits)
         reference = _model(architecture, technique)
-        reference.embedding = quantize_embedding(model.embedding, bits).dequantized()
+        reference.embedding = quantize_embedding(
+            model.embedding.frozen(), bits
+        ).dequantized()
         ref_engine = InferenceEngine(reference)
         np.testing.assert_array_equal(
             engine.predict(ids), ref_engine.predict(ids)

@@ -83,7 +83,7 @@ def test_int8_equals_fp32_over_the_dequantized_rows(technique, cache_rows):
         declined = technique == "memcom" and dim * length < 2048
         assert (engine.cache is None) == (cache_rows is None or declined)
         reference = _model("pointwise", technique, dim, length)
-        reference.embedding = quantize_embedding(model.embedding, 8).dequantized()
+        reference.embedding = quantize_embedding(model.embedding.frozen(), 8).dequantized()
         ref_engine = InferenceEngine(reference)
         for _ in range(2):  # the second pass is mostly cache hits
             for x in _batches(length):

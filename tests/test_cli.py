@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.artifact import FORMAT_VERSION
 from repro.cli import _default_hyper, build_parser, main
 from repro.core.registry import available_techniques
 from repro.experiments import EXPERIMENTS
@@ -445,7 +446,7 @@ class TestArtifactInspect:
         _model, path = self._artifact(tmp_path)
         assert main(["artifact", "inspect", path]) == 0
         out = capsys.readouterr().out
-        assert "format v3" in out
+        assert f"format v{FORMAT_VERSION}" in out
         assert "alias → embedding/table" in out
         assert "zeros (elided)" in out
         assert "epoch 2" in out
