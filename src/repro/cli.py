@@ -495,6 +495,11 @@ def _pipeline_spec_from_args(args: argparse.Namespace, architecture: str = "auto
     return dc_replace(spec, hyper=hyper)
 
 
+def _width(bits: object) -> str:
+    """A serving width as the CLI prints it: ``fp32`` or ``int8``/``int4``."""
+    return "fp32" if bits == 32 else f"int{bits}"
+
+
 def _export_and_verify(session, path: str, bits: int, percentile: float | None = None) -> int:
     """session → artifact → ServeSession.load → compare predictions.
 
@@ -522,10 +527,9 @@ def _export_and_verify(session, path: str, bits: int, percentile: float | None =
             file=sys.stderr,
         )
         return 1
-    width = "fp32" if loaded.bits == 32 else f"int{loaded.bits}"
     print(
         f"verified: ServeSession.load({path!r}) matches the in-memory "
-        f"{width} session bit-for-bit on {len(probe)} probe requests"
+        f"{_width(loaded.bits)} session bit-for-bit on {len(probe)} probe requests"
     )
     return 0
 
@@ -872,7 +876,7 @@ def _cmd_artifact_inspect(args: argparse.Namespace) -> int:
     print(
         f"model: {model.get('architecture', '?')} · "
         f"{manifest.get('embedding', {}).get('technique', '?')} · "
-        f"{'fp32' if manifest.get('bits') == 32 else 'int' + str(manifest.get('bits', '?'))} · "
+        f"{_width(manifest.get('bits', '?'))} · "
         f"input_length={model.get('input_length', '?')}"
     )
 
@@ -1168,7 +1172,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             vocab, input_length = engine.vocab_size, engine.input_length
             title = (
                 f"serve-bench: artifact {args.artifact} ({engine.model_name}, "
-                f"int{engine.bits}), v={vocab}, L={input_length}, Zipf({args.alpha})"
+                f"{_width(engine.bits)}), v={vocab}, L={input_length}, Zipf({args.alpha})"
             )
         else:
             vocab, input_length = args.vocab, args.input_length
@@ -1348,7 +1352,7 @@ def _cmd_export_artifact(args: argparse.Namespace) -> int:
     # rebuilds the serving plan, so a bad export dies here, not on-device.
     session = ServeSession.load(args.out)
     print(
-        f"verified: reload OK — int{session.bits} serving plan, "
+        f"verified: reload OK — {_width(session.bits)} serving plan, "
         f"{artifact.payload_bytes():,} payload bytes "
         f"(+{artifact.total_bytes() - artifact.payload_bytes():,} manifest)"
     )

@@ -21,12 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.nn.functional import mean_pool
 from repro.nn.layers import (
-    AveragePooling1D,
     BatchNorm,
     Dense,
     Dropout,
-    Flatten,
     Module,
     ReLU,
 )
@@ -57,8 +56,6 @@ class EmbeddingClassifier(Module):
         self.input_length = input_length
         self.num_labels = num_labels
         self.embedding = embedding
-        self.pool = AveragePooling1D(input_length)
-        self.flatten = Flatten()
         self.relu = ReLU()
         self.dropout1 = Dropout(dropout, rng=r_drop1)
         self.norm1 = BatchNorm(e)
@@ -68,9 +65,7 @@ class EmbeddingClassifier(Module):
         self.out = Dense(hidden, num_labels, rng=r_out)
 
     def forward(self, x: np.ndarray) -> Tensor:
-        h = self.embedding(x)
-        if h.ndim == 3:
-            h = self.flatten(self.pool(h))
+        h = mean_pool(self.embedding(x), self.input_length)
         h = self.relu(h)
         h = self.norm1(self.dropout1(h))
         h = self.hidden(h)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import CompressedEmbedding
+from repro.nn.functional import mean_pool
 from repro.nn.layers import (
-    AveragePooling1D,
     BatchNorm,
     Dense,
     Dropout,
-    Flatten,
     Module,
     ReLU,
 )
@@ -46,17 +45,13 @@ class PointwiseRanker(Module):
         self.input_length = input_length
         self.num_items = num_items
         self.embedding = embedding
-        self.pool = AveragePooling1D(input_length)
-        self.flatten = Flatten()
         self.relu = ReLU()
         self.dropout = Dropout(dropout, rng=r_drop)
         self.norm = BatchNorm(e)
         self.out = Dense(e, num_items, rng=r_out)
 
     def forward(self, x: np.ndarray) -> Tensor:
-        h = self.embedding(x)
-        if h.ndim == 3:
-            h = self.flatten(self.pool(h))
+        h = mean_pool(self.embedding(x), self.input_length)
         h = self.norm(self.dropout(self.relu(h)))
         return self.out(h)
 

@@ -19,11 +19,10 @@ import numpy as np
 
 from repro.core.base import CompressedEmbedding
 from repro.nn import init, ops
+from repro.nn.functional import mean_pool
 from repro.nn.layers import (
-    AveragePooling1D,
     BatchNorm,
     Dropout,
-    Flatten,
     Module,
     ReLU,
 )
@@ -53,8 +52,6 @@ class RankNet(Module):
         self.input_length = input_length
         self.num_items = num_items
         self.embedding = embedding
-        self.pool = AveragePooling1D(input_length)
-        self.flatten = Flatten()
         self.relu = ReLU()
         self.dropout = Dropout(dropout, rng=r_drop)
         self.norm = BatchNorm(e)
@@ -63,9 +60,7 @@ class RankNet(Module):
 
     def user_repr(self, x: np.ndarray) -> Tensor:
         """Shared tower: (B, L) ids → (B, e) user vector."""
-        h = self.embedding(x)
-        if h.ndim == 3:
-            h = self.flatten(self.pool(h))
+        h = mean_pool(self.embedding(x), self.input_length)
         return self.norm(self.dropout(self.relu(h)))
 
     def score_items(self, user: Tensor, items: np.ndarray) -> Tensor:

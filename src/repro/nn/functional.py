@@ -18,6 +18,7 @@ __all__ = [
     "tanh",
     "dropout",
     "average_pool1d",
+    "mean_pool",
     "softmax_np",
     "log_softmax_np",
 ]
@@ -60,6 +61,22 @@ def average_pool1d(x: Tensor, pool_size: int) -> Tensor:
         raise ValueError(f"sequence length {length} not divisible by pool_size {pool_size}")
     windows = ops.reshape(x, (b, length // pool_size, pool_size, e))
     return ops.mean(windows, axis=2)
+
+
+def mean_pool(x: Tensor, length: int) -> Tensor:
+    """The models' pooling of a ``(B, length, E)`` embedding into ``(B, E)``.
+
+    One :func:`~repro.nn.ops.mean` node over the sequence axis: the floats of
+    ``AveragePooling1D(length)`` then ``Flatten``, without their reshape
+    nodes, and its backward hands the embedding a broadcast view of one
+    ``(B, E)`` quotient.  A 2-D input (an encoder that pools itself) passes
+    through; a sequence of any other length raises ``ValueError``.
+    """
+    if x.ndim != 3:
+        return x
+    if x.shape[1] != length:
+        raise ValueError(f"sequence length {x.shape[1]} != input_length {length}")
+    return ops.mean(x, axis=1)
 
 
 def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:

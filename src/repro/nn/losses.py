@@ -53,7 +53,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def backward(g: np.ndarray) -> None:
         probs = np.exp(x - lse[:, None])
         probs[np.arange(b), labels] -= 1.0
-        logits._accumulate((probs * (float(g) / b)).astype(x.dtype))
+        probs *= float(g) / b
+        logits._accumulate(probs)
 
     return Tensor._make(np.asarray(loss_val, dtype=x.dtype), (logits,), backward)
 

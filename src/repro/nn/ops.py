@@ -14,6 +14,14 @@ fuses MEmCom's three gathers and its composition into one node whose
 backward sorts the batch's ids once and emits all three gradients already
 coalesced.  The dense scatter-add baseline is kept behind
 ``sparse_grads(False)`` for benchmarking.
+
+A backward may hand its inputs views of its gradient (a reshape, a
+transpose, the broadcast view of a reduction's backward), and an interior
+node adopts what it receives uncopied (:meth:`Tensor._accumulate`).  NumPy
+sums and BLAS products can add in an order that depends on memory layout,
+so a backward that reduces over its gradient or multiplies matrices with it
+first makes it C-contiguous: the layout a gradient had when every node
+copied its own, which keeps that engine's floats.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """
     if grad.shape == shape:
         return grad
+    grad = np.ascontiguousarray(grad)  # the reduction order of a C array
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -171,23 +180,41 @@ def memcom_lookup(
     already be range-checked (``CompressedEmbedding._check_indices``):
     ``np.take`` raises past the end of a table but wraps negative ids.
 
+    A ``(B, L)`` batch at ``e > 1`` is gathered *position-major* (every
+    request's first id, then every second, ...) and handed on as a
+    ``(B, L, e)`` view, the serving engine's layout rule (DESIGN.md §6):
+    the models' mean-pool then adds whole ``(B, e)`` planes, in the same
+    order over L.  At ``e = 1`` numpy sums a request's contiguous window
+    pairwise, so those rows stay request-major.
+
     The backward coalesces once.  V and W are both indexed by ``i``, so one
     ``np.unique(ids, return_inverse=True)`` gives their rows; U's rows are
     ``np.unique(rows % m)``, and its inverse composes the two.  Each table
     then receives a :class:`SparseRowGrad` that is already coalesced, summed
     exactly as :meth:`SparseRowGrad.coalesce` would sum the per-lookup rows
-    of the unfused graph, so norm clipping and the optimizer find nothing
-    left to sort.  Under ``sparse_grads(False)`` each is densified instead.
+    of the unfused graph (request-major, whatever the forward's layout), so
+    norm clipping and the optimizer find nothing left to sort.  A gradient
+    that is constant over L (the mean-pool's broadcast view) gives W one
+    sum per request.  Under ``sparse_grads(False)`` each is densified
+    instead.
     """
-    m = shared.data.shape[0]
-    a = np.take(shared.data, indices % m, axis=0)
-    b = np.take(multiplier.data, indices, axis=0)
+    m, e = shared.data.shape
+    position_major = indices.ndim == 2 and e > 1
+    flat = indices.T.ravel() if position_major else indices.ravel()
+    a = np.take(shared.data, flat % m, axis=0)
+    b = np.take(multiplier.data, flat, axis=0)
     out_data = a * b
     tables: tuple[Tensor, ...] = (shared, multiplier)
     if bias is not None:
-        c = np.take(bias.data, indices, axis=0)
-        out_data += c  # (…, 1) broadcasts into the (…, e) product
+        out_data += np.take(bias.data, flat, axis=0)  # (k, 1) broadcasts into (k, e)
         tables += (bias,)
+    if position_major:
+        batch, length = indices.shape
+        a, b, out_data = (
+            x.reshape(length, batch, x.shape[1]).transpose(1, 0, 2) for x in (a, b, out_data)
+        )
+    else:
+        a, b, out_data = (x.reshape(indices.shape + x.shape[1:]) for x in (a, b, out_data))
 
     def emit(table: Tensor, rows: np.ndarray, inverse: np.ndarray, per_lookup: np.ndarray) -> None:
         values = per_lookup.reshape(-1, table.data.shape[1])
@@ -196,13 +223,21 @@ def memcom_lookup(
 
     def backward(g: np.ndarray) -> None:
         rows, inverse = np.unique(indices.ravel(), return_inverse=True)
+        # Both (…, e) products go request-major into one buffer: each emit
+        # has summed its values into a fresh gradient before the next.
+        scratch = np.empty(g.shape, np.result_type(g, a))
+        if multiplier.requires_grad:
+            emit(multiplier, rows, inverse, unbroadcast(np.multiply(g, a, out=scratch), b.shape))
         if shared.requires_grad:
             shared_rows, shared_inverse = np.unique(rows % m, return_inverse=True)
-            emit(shared, shared_rows, shared_inverse[inverse], unbroadcast(g * b, a.shape))
-        if multiplier.requires_grad:
-            emit(multiplier, rows, inverse, unbroadcast(g * a, b.shape))
+            emit(shared, shared_rows, shared_inverse[inverse], np.multiply(g, b, out=scratch))
         if bias is not None and bias.requires_grad:
-            emit(bias, rows, inverse, unbroadcast(g, c.shape))
+            if g.ndim == 3 and g.strides[1] == 0:
+                # Constant over L: one sum per request, for each of its L ids.
+                per_request = np.ascontiguousarray(g[:, 0]).sum(axis=-1)
+                emit(bias, rows, inverse, np.repeat(per_request, g.shape[1]))
+            else:
+                emit(bias, rows, inverse, unbroadcast(g, indices.shape + (1,)))
 
     return Tensor._make(out_data, tables, backward)
 
@@ -236,6 +271,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
+        g = np.ascontiguousarray(g)
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
@@ -263,6 +299,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
+        g = np.ascontiguousarray(g)
         if a.requires_grad:
             a._accumulate(g @ b.data.transpose(0, 2, 1))
         if b.requires_grad:
@@ -292,22 +329,26 @@ def sum(a: Tensor, axis: object = None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims).astype(a.data.dtype))
+        g = g.astype(a.data.dtype, copy=False)
+        a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims))
 
     return Tensor._make(np.asarray(out_data), (a,), backward)
 
 
 def mean(a: Tensor, axis: object = None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis``.  The backward divides the reduced gradient by the
+    count once and hands on a read-only broadcast view of the quotient: the
+    models' mean-pool gives its ``(B, L, e)`` input a view of one ``(B, e)``
+    array."""
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else int(
-        np.prod(
-            [a.data.shape[ax % a.data.ndim] for ax in ((axis,) if isinstance(axis, int) else axis)]
-        )
-    )
+    axes = range(a.data.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    count = 1
+    for ax in axes:
+        count *= a.data.shape[ax]
 
     def backward(g: np.ndarray) -> None:
-        expanded = _expand_reduced(g, a.data.shape, axis, keepdims)
-        a._accumulate((expanded / count).astype(a.data.dtype))
+        quotient = (g / count).astype(a.data.dtype, copy=False)
+        a._accumulate(_expand_reduced(quotient, a.data.shape, axis, keepdims))
 
     return Tensor._make(np.asarray(out_data), (a,), backward)
 
@@ -452,11 +493,13 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         flat = indices.ravel().copy()
         g2d = g.reshape(-1, e)
         if _sg.sparse_grads_enabled():
-            # Copy the values too: ``g`` may be the backward *root's* grad
-            # buffer, which outlives this call and is mutated in place by a
-            # repeated backward() (interior buffers die, the root's does
-            # not).  The emitted SparseRowGrad owns both its arrays.
-            table._accumulate(SparseRowGrad(flat, g2d.copy(), table.data.shape))
+            # The emitted SparseRowGrad owns both its arrays (clipping scales
+            # its values in place), and ``g`` may be shared with other
+            # nodes: a view of it is copied.  Reshaping a broadcast ``g``
+            # (the mean-pool's) has copied it already.
+            if np.may_share_memory(g2d, g):
+                g2d = g2d.copy()
+            table._accumulate(SparseRowGrad(flat, g2d, table.data.shape))
             return
         # Dense baseline: scatter-add over the whole table — still O(v·e).
         table._accumulate(_sg.onehot_rowsum(flat, g2d, table.data.shape[0]))
@@ -484,19 +527,24 @@ def batch_norm(
     var = x.data.var(axis=axes)
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x.data - mu) * inv_std
-    out_data = (x_hat * gamma.data + beta.data).astype(x.data.dtype)
+    out_data = (x_hat * gamma.data + beta.data).astype(x.data.dtype, copy=False)
     n = x.data.size // x.data.shape[-1]
 
     def backward(g: np.ndarray) -> None:
+        g = np.ascontiguousarray(g)
+        # A mean is a sum divided by the count, so each sum serves both a
+        # parameter's gradient and the mean the input's gradient subtracts.
+        g_sum = g.sum(axis=axes)
+        gx_sum = (g * x_hat).sum(axis=axes)
         if gamma.requires_grad:
-            gamma._accumulate((g * x_hat).sum(axis=axes).astype(gamma.data.dtype))
+            gamma._accumulate(gx_sum)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes).astype(beta.data.dtype))
+            beta._accumulate(g_sum)
         if x.requires_grad:
-            g_mean = g.mean(axis=axes)
-            gx_mean = (g * x_hat).mean(axis=axes)
-            dx = gamma.data * inv_std * (g - g_mean - x_hat * gx_mean)
-            x._accumulate(dx.astype(x.data.dtype))
+            dx = g - g_sum / n
+            dx -= x_hat * (gx_sum / n)
+            dx *= gamma.data * inv_std
+            x._accumulate(dx)
 
     out = Tensor._make(out_data, (x, gamma, beta), backward)
     return out, mu, var

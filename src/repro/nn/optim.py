@@ -68,6 +68,11 @@ class Optimizer:
         #: warmup schedules (:class:`repro.nn.schedulers.RowWarmup`) read
         #: this clock instead of counting steps.
         self.rows_applied = 0
+        #: what the last :meth:`step` wrote, as ``(parameter, values)``
+        #: pairs: a sparse gradient's updated rows, or a dense gradient's
+        #: whole parameter.  A finiteness check reads these instead of
+        #: gathering the rows again.
+        self.applied: list[tuple[Parameter, np.ndarray]] = []
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -76,6 +81,7 @@ class Optimizer:
     def step(self) -> None:
         """Advance the row clock, then apply the subclass update."""
         self.rows_applied += self._grad_rows()
+        self.applied = []
         self._apply_step()
 
     def _apply_step(self) -> None:  # pragma: no cover - interface
@@ -211,6 +217,7 @@ class SGD(Optimizer):
                     p.data += v
             else:
                 p.data -= self.lr * g
+            self.applied.append((p, p.data))
 
     def _step_sparse(self, p: Parameter, v: np.ndarray, sg: SparseRowGrad) -> None:
         rows, g = sg.rows, sg.values
@@ -230,6 +237,7 @@ class SGD(Optimizer):
         else:
             p_rows -= self.lr * g
         p.data[rows] = p_rows
+        self.applied.append((p, p_rows))
 
 
 class Adam(Optimizer):
@@ -240,6 +248,12 @@ class Adam(Optimizer):
     the current global step.  Dense Adam instead updates every row each step
     (momentum keeps rows moving after their last occurrence); DESIGN.md §5
     documents and tests bound the divergence.
+
+    The slots of the parameters with dense gradients are views of one
+    flat buffer per dtype, so the dense update is one pass over each buffer
+    rather than one per parameter.  The buffer is packed at the first step
+    and again whenever the set of dense parameters changes; a parameter
+    without a gradient is left out of it, and keeps its weights and slots.
     """
 
     def __init__(
@@ -261,6 +275,10 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+        #: indices of the parameters whose slots are packed, and per dtype
+        #: those parameters with their flat ``m`` and ``v`` buffers
+        self._dense: list[int] | None = None
+        self._packed: list[tuple[list[Parameter], np.ndarray, np.ndarray]] = []
 
     def state_slots(self) -> dict[str, list[np.ndarray] | None]:
         return {"m": self._m, "v": self._v}
@@ -274,26 +292,69 @@ class Adam(Optimizer):
 
     def _apply_step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
+        bias1 = 1.0 - self.beta1**self._t
+        bias2 = 1.0 - self.beta2**self._t
+        dense = []
+        for i, p in enumerate(self.params):
             if p.raw_grad is None:
                 continue
             sg = p.sparse_grad
             if sg is not None:
-                self._step_sparse(p, m, v, sg, bias1, bias2)
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._step_sparse(p, self._m[i], self._v[i], sg, bias1, bias2)
+            else:
+                dense.append(i)
+        if dense != self._dense:
+            self._pack(dense)
+        for params, m, v in self._packed:
+            self._step_dense(params, m, v, bias1, bias2)
+
+    def _pack(self, dense: list[int]) -> None:
+        """Copy the slots of parameters ``dense`` into flat buffers, one per
+        dtype in parameter order, and make their slots views of them."""
+        groups: dict[np.dtype, list[int]] = {}
+        for i in dense:
+            groups.setdefault(self.params[i].data.dtype, []).append(i)
+        self._packed = []
+        for members in groups.values():
+            flats = []
+            for slots in (self._m, self._v):
+                flat = np.concatenate([slots[i].reshape(-1) for i in members])
+                offset = 0
+                for i in members:
+                    size = slots[i].size
+                    slots[i] = flat[offset : offset + size].reshape(slots[i].shape)
+                    offset += size
+                flats.append(flat)
+            self._packed.append(([self.params[i] for i in members], *flats))
+        self._dense = dense
+
+    def _step_dense(
+        self, params: list[Parameter], m: np.ndarray, v: np.ndarray, bias1: float, bias2: float
+    ) -> None:
+        """One pass over the packed slots ``m`` and ``v`` of ``params``: per
+        element, ``m = b1·m + (1-b1)·g``, ``v = b2·v + (1-b2)·g²`` and
+        ``p -= lr·m̂ / (√v̂ + eps)``."""
+        g = np.concatenate([p.grad.reshape(-1) for p in params], dtype=m.dtype)
+        if self.weight_decay:
+            g += self.weight_decay * np.concatenate([p.data.reshape(-1) for p in params])
+        scratch = np.multiply(g, 1.0 - self.beta1)
+        m *= self.beta1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v *= self.beta2
+        v += scratch
+        update = np.divide(m, bias1, out=scratch)
+        update *= self.lr
+        denom = np.divide(v, bias2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        offset = 0
+        for p in params:
+            p.data -= update[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+            self.applied.append((p, p.data))
 
     def _step_sparse(
         self,
@@ -310,20 +371,26 @@ class Adam(Optimizer):
         p_rows = np.take(p.data, rows, axis=0)
         if self.weight_decay:
             g = g + self.weight_decay * p_rows
+        # One scratch array carries each step's temporaries in turn.
+        scratch = np.multiply(g, 1.0 - self.beta1)
         m_rows = np.take(m, rows, axis=0)
         m_rows *= self.beta1
-        m_rows += (1.0 - self.beta1) * g
+        m_rows += scratch
+        m[rows] = m_rows
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - self.beta2
         v_rows = np.take(v, rows, axis=0)
         v_rows *= self.beta2
-        v_rows += (1.0 - self.beta2) * (g * g)
-        m[rows] = m_rows
+        v_rows += scratch
         v[rows] = v_rows
-        update = np.sqrt(v_rows / bias2)
+        update = np.divide(v_rows, bias2, out=scratch)
+        np.sqrt(update, out=update)
         update += self.eps
         np.divide(m_rows, update, out=update)
         update *= self.lr / bias1
         p_rows -= update
         p.data[rows] = p_rows
+        self.applied.append((p, p_rows))
 
 
 class Adagrad(Optimizer):
@@ -352,6 +419,7 @@ class Adagrad(Optimizer):
                 continue
             acc += p.grad * p.grad
             p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+            self.applied.append((p, p.data))
 
     def _step_sparse(self, p: Parameter, acc: np.ndarray, sg: SparseRowGrad) -> None:
         rows, g = sg.rows, sg.values
@@ -362,6 +430,7 @@ class Adagrad(Optimizer):
         p_rows = np.take(p.data, rows, axis=0)
         p_rows -= self.lr * g / (np.sqrt(acc_rows) + self.eps)
         p.data[rows] = p_rows
+        self.applied.append((p, p_rows))
 
 
 class RMSProp(Optimizer):
@@ -411,6 +480,7 @@ class RMSProp(Optimizer):
                 vel += update
                 update = vel
             p.data -= update
+            self.applied.append((p, p.data))
 
     def _step_sparse(
         self, p: Parameter, sq: np.ndarray, vel: np.ndarray | None, sg: SparseRowGrad
@@ -428,6 +498,7 @@ class RMSProp(Optimizer):
         p_rows = np.take(p.data, rows, axis=0)
         p_rows -= update
         p.data[rows] = p_rows
+        self.applied.append((p, p_rows))
 
 
 def global_grad_norm(params: list[Parameter]) -> float:
@@ -447,7 +518,9 @@ def global_grad_norm(params: list[Parameter]) -> float:
             # that follows a clip does not re-coalesce.
             total += p.sparse_grad.sq_norm()
         else:
-            total += float(np.sum(g.astype(np.float64) ** 2))
+            squares = g.astype(np.float64)
+            squares *= squares
+            total += float(squares.sum())
     return float(np.sqrt(total))
 
 

@@ -241,8 +241,9 @@ class SparseRowGrad:
         Coalescing first is load-bearing: duplicates must sum before
         squaring or the norm of a batch with repeated ids is wrong.
         """
-        g = self.coalesce()
-        return float(np.sum(g.values.astype(np.float64) ** 2))
+        squares = self.coalesce().values.astype(np.float64)
+        squares *= squares
+        return float(squares.sum())
 
     def __repr__(self) -> str:
         tag = ", coalesced" if self.coalesced else ""

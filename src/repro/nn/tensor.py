@@ -145,14 +145,22 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray | SparseRowGrad) -> None:
-        """Add ``grad`` into the held gradient (allocating on first touch).
+        """Add ``grad`` into the held gradient.
 
-        Handles all four held/incoming combinations: dense+dense adds in
-        place, sparse+sparse merges lazily (coalescing is deferred to the
+        Handles all four held/incoming combinations: dense+dense adds,
+        sparse+sparse merges lazily (coalescing is deferred to the
         consumer), sparse+dense densifies the held sparse grad first, and
         dense+sparse scatter-adds the incoming rows into the dense buffer —
         so a table read by several lookups (e.g. both arms of a RankNet
         pair) accumulates correctly whatever mix of forms arrives.
+
+        An interior node (one with a backward) adopts its first dense
+        gradient without copying and never writes its gradient in place: a
+        later contribution makes a fresh sum.  The adopted array may be a
+        sibling's gradient or a read-only broadcast view, and no backward
+        writes into its input, so sharing it is safe.  A leaf copies on
+        first touch and then adds in place: clipping and the optimizers
+        scale and read its buffer, which must be its own.
         """
         if grad.shape != self.data.shape:
             raise ValueError(
@@ -168,18 +176,23 @@ class Tensor:
             elif isinstance(self._grad, SparseRowGrad):
                 self._grad = self._grad.merge(grad)
             else:
+                if self._backward is not None:
+                    self._grad = self._grad.copy()
                 grad.add_to_dense(self._grad)
             return
         if self._grad is None:
-            # Copy: the incoming buffer may be reused by the producing op.
-            if grad.dtype == self.data.dtype:
-                self._grad = grad.copy()
-            else:
+            if grad.dtype != self.data.dtype:
                 self._grad = grad.astype(self.data.dtype)
+            elif self._backward is not None:
+                self._grad = grad
+            else:
+                self._grad = grad.copy()
         elif isinstance(self._grad, SparseRowGrad):
             dense = self._grad.to_dense(dtype=self.data.dtype)
             dense += grad
             self._grad = dense
+        elif self._backward is not None:
+            self._grad = self._grad + grad
         else:
             self._grad += grad
 
@@ -196,7 +209,9 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            # A copy: an interior root adopts its seed, and the caller may
+            # reuse the array it passed.
+            grad = np.array(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}"

@@ -13,6 +13,12 @@ Embedding-table gradients flow through this loop row-sparse end-to-end
 DESIGN.md §5), so per-step cost scales with the batch, not the vocabulary —
 ``benchmarks/bench_train_throughput.py`` measures the win.
 
+A non-finite number stops the loop at the stage that made it: the loss
+(``forward``), a gradient (``gradient``, raised by the clip) or a row the
+optimizer step wrote (``apply``).  The ``FloatingPointError`` names the
+epoch, the batch, the stage and, past the forward, the parameter's
+``state_dict`` key.
+
 Resumable training
 ------------------
 The loop's entire mutable context lives in a :class:`TrainState` — the
@@ -168,6 +174,20 @@ def _nonfinite_grad_key(model: Module) -> str | None:
             continue
         if not np.isfinite(g.values if isinstance(g, SparseRowGrad) else g).all():
             return name
+    return None
+
+
+def _nonfinite_applied_key(model: Module, opt: Optimizer) -> str | None:
+    """The ``state_dict`` key of the first parameter the last ``opt.step()``
+    left a non-finite value in, among the rows it wrote (``opt.applied``).
+
+    One dot product screens each array: it is finite unless a value is
+    non-finite or the squares overflow, and only then is the array read
+    again, value by value."""
+    for p, values in opt.applied:
+        flat = values.reshape(-1)
+        if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+            return next(name for name, q in model.named_parameters() if q is p)
     return None
 
 
@@ -396,8 +416,8 @@ class Trainer:
                     hint = "" if cfg.grad_clip_norm is not None else " or enable grad_clip_norm"
                     raise FloatingPointError(
                         f"non-finite training loss at epoch {epoch + 1}, "
-                        f"batch {n_batches + 1} (lr={opt.lr:g}) — lower the "
-                        f"learning rate{hint}"
+                        f"batch {n_batches + 1} (stage: forward, lr={opt.lr:g}) — lower "
+                        f"the learning rate{hint}"
                     )
                 loss.backward()
                 try:
@@ -408,6 +428,12 @@ class Trainer:
                         f"(stage: gradient, parameter {_nonfinite_grad_key(model)!r}): {exc}"
                     ) from exc
                 opt.step()
+                key = _nonfinite_applied_key(model, opt)
+                if key is not None:
+                    raise FloatingPointError(
+                        f"non-finite weight at epoch {epoch + 1}, batch {n_batches + 1} "
+                        f"(stage: apply, parameter {key!r}): the optimizer step wrote it"
+                    )
                 epoch_loss += loss.item()
                 n_batches += 1
                 if cfg.max_batches_per_epoch and n_batches >= cfg.max_batches_per_epoch:

@@ -161,3 +161,20 @@ class TestBuilder:
         scores = predict_scores(model, _ids(rng, 12), batch_size=5)
         assert scores.shape == (12, C)
         assert model.training  # mode restored
+
+
+class TestSequenceLength:
+    """Each model pools exactly ``input_length`` ids per request."""
+
+    @pytest.mark.parametrize("length", [L - 1, L + 1, 2 * L])
+    @pytest.mark.parametrize("technique", ["memcom", "full"])
+    @pytest.mark.parametrize(
+        "build", [build_classifier, build_pointwise_ranker, build_ranknet],
+        ids=["classifier", "pointwise", "ranknet"],
+    )
+    def test_other_lengths_raise(self, build, technique, length, rng):
+        hyper = dict(TECHNIQUES)[technique]
+        model = build(technique, V, C, input_length=L, embedding_dim=E, rng=0, **hyper)
+        assert model(_ids(rng)).shape[0] == 6
+        with pytest.raises(ValueError, match="input_length"):
+            model(rng.integers(0, V, size=(6, length)))

@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 from repro.core.memcom import MEmComEmbedding
-from repro.models.builder import build_pointwise_ranker
+from repro.models import classifier, pointwise, ranknet
+from repro.models.builder import build_classifier, build_pointwise_ranker, build_ranknet
 from repro.nn import ops
-from repro.nn.losses import softmax_cross_entropy
+from repro.nn.layers import AveragePooling1D, Flatten
+from repro.nn.losses import ranknet_loss, softmax_cross_entropy
 from repro.nn.optim import Adam, clip_global_norm, global_grad_norm
 from repro.nn.sparse_grad import SparseRowGrad, sparse_grads
-from tests.helpers import check_gradients
+from repro.nn.tensor import Tensor
+from tests.helpers import LoopAdam, check_gradients, copying_accumulate, loop_clip
 
 V, M, E = 40, 8, 4
 
@@ -147,6 +150,73 @@ def test_adam_with_clipping_is_bit_identical_to_unfused_graph(technique):
     got, want = train(True), train(False)
     assert got[2] == want[2]
     assert max(got[2]) > 1.0, "the clip never engaged"
+    for a, b in zip(got[:2], want[:2]):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), key
+
+
+BUILDERS = {"classifier": build_classifier, "pointwise": build_pointwise_ranker,
+            "ranknet": build_ranknet}
+
+
+def _pool_then_flatten(h, length):
+    """The models' pooling before one mean node: AveragePooling1D, Flatten."""
+    return Flatten()(AveragePooling1D(length)(h)) if h.ndim == 3 else h
+
+
+HYPER = {"memcom": {"num_hash_embeddings": M}, "memcom_nobias": {"num_hash_embeddings": M},
+         "full": {}, "factorized": {"hidden_dim": 8}}
+
+
+@pytest.mark.parametrize("e", [1, 32])
+@pytest.mark.parametrize("technique", sorted(HYPER))
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_training_step_is_bit_identical_to_the_copying_engine(kind, technique, e, monkeypatch):
+    """20 clipped Adam steps of each model: weights, optimizer state and clip
+    norms equal, byte for byte, a twin trained by the step this one
+    replaced — AveragePooling1D + Flatten, the unfused MEmCom graph, every
+    gradient copied on arrival, and Adam and the clip one parameter at a
+    time.  ``factorized`` multiplies the pool's broadcast gradient by a
+    matrix, which BLAS sums in a layout-dependent order."""
+    length = 5
+    rng = np.random.default_rng(5)
+    batches = [
+        tuple(rng.integers(0, hi, size=shape) for hi, shape in
+              ((V, (16, length)), (6, 16), (6, 16)))
+        for _ in range(20)
+    ]
+    def train(reference):
+        model = BUILDERS[kind](
+            technique, V, 6, input_length=length, embedding_dim=e, rng=11, **HYPER[technique]
+        )
+        optimizer, clip = Adam, clip_global_norm
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(Tensor, "_accumulate", copying_accumulate)
+                for module in (classifier, pointwise, ranknet):
+                    patch.setattr(module, "mean_pool", _pool_then_flatten)
+                if technique.startswith("memcom"):
+                    emb = model.embedding
+                    emb.forward = lambda ids: reference_forward(emb, ids)
+                optimizer, clip = LoopAdam, loop_clip
+            model.train()
+            opt = optimizer(model.parameters(), lr=0.05)
+            norms = []
+            for x, pos, neg in batches:
+                opt.zero_grad()
+                if kind == "ranknet":
+                    loss = ranknet_loss(*model.score_pair(x, pos, neg))
+                else:
+                    loss = softmax_cross_entropy(model(x), pos)
+                loss.backward()
+                norms.append(clip(opt.params, 0.25))
+                opt.step()
+        return model.state_dict(), opt.state_dict(), norms
+
+    got, want = train(False), train(True)
+    assert got[2] == want[2]
+    assert max(got[2]) > 0.25, "the clip never engaged"
     for a, b in zip(got[:2], want[:2]):
         assert a.keys() == b.keys()
         for key in a:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn.optim import SGD, Adagrad, Adam, clip_global_norm, global_grad_norm
+from repro.nn.sparse_grad import SparseRowGrad
 from repro.nn.tensor import Parameter
+from tests.helpers import LoopAdam
 
 
 def _quadratic_params(seed=0, n=4):
@@ -81,6 +83,87 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], beta1=1.0)
+
+
+class TestAdamPackedSlots:
+    """Dense slots are views of one flat buffer; the bits, the state_dict
+    and the untouched parameters are those of a per-parameter loop."""
+
+    SHAPES = [(3, 4), (5,), (6, 2), (2, 2)]  # index 2 takes sparse grads
+    # Which parameters get a gradient at each step: packing changes when
+    # the set of dense gradients does.
+    SCHEDULE = [(0, 1, 2, 3), (0, 2, 3), (0, 1, 2, 3), (2, 3), (0, 1, 2, 3)]
+
+    def _run(self, optimizer, weight_decay=0.0):
+        rng = np.random.default_rng(0)
+        params = [Parameter(rng.normal(size=s).astype(np.float32)) for s in self.SHAPES]
+        opt = optimizer(params, lr=0.1, weight_decay=weight_decay)
+        grads = np.random.default_rng(1)
+        trace = []
+        for live in self.SCHEDULE:
+            opt.zero_grad()
+            for i in live:
+                if i == 2:
+                    rows = np.array([4, 1, 4])
+                    values = grads.normal(size=(3, 2)).astype(np.float32)
+                    params[i].grad = SparseRowGrad(rows, values, params[i].data.shape)
+                else:
+                    params[i].grad = grads.normal(size=self.SHAPES[i]).astype(np.float32)
+            opt.step()
+            trace.append(([p.data.copy() for p in params], opt.state_dict()))
+        return trace
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_a_per_parameter_loop_bit_for_bit(self, weight_decay):
+        got, want = self._run(Adam, weight_decay), self._run(LoopAdam, weight_decay)
+        for (weights, state), (ref_weights, ref_state) in zip(got, want):
+            assert [w.tobytes() for w in weights] == [w.tobytes() for w in ref_weights]
+            assert state.keys() == ref_state.keys()
+            for key in state:
+                assert state[key].tobytes() == ref_state[key].tobytes(), key
+
+    def test_a_parameter_without_a_gradient_is_untouched(self):
+        trace = self._run(Adam)
+        for step, live in enumerate(self.SCHEDULE[1:], start=1):
+            (before, state_before), (after, state_after) = trace[step - 1], trace[step]
+            for i in set(range(len(self.SHAPES))) - set(live):
+                assert after[i].tobytes() == before[i].tobytes()
+                for slot in "mv":
+                    key = f"{slot}.{i}"
+                    assert state_after[key].tobytes() == state_before[key].tobytes(), key
+
+    def test_state_dict_keys_and_shapes_are_per_parameter(self):
+        params = [Parameter(np.ones(s, np.float32)) for s in self.SHAPES]
+        opt = Adam(params)
+        before = {k: v.shape for k, v in opt.state_dict().items()}
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        after = {k: v.shape for k, v in opt.state_dict().items()}
+        assert before == after
+        assert after == {f"{slot}.{i}": s for slot in "mv" for i, s in enumerate(self.SHAPES)}
+
+    def test_load_state_dict_reaches_the_packed_slots(self):
+        def stepped(optimizer, state=None):
+            params = [Parameter(np.ones(s, np.float32)) for s in self.SHAPES]
+            opt = optimizer(params, lr=0.1)
+            for p in params:
+                p.grad = np.full_like(p.data, 0.5)
+            opt.step()  # packs the dense slots
+            if state is not None:
+                opt.load_state_dict(state)
+            for p in params:
+                p.grad = np.full_like(p.data, -0.25)
+            opt.step()
+            return [p.data.tobytes() for p in params], opt.state_dict()
+
+        _, saved = stepped(LoopAdam)
+        saved = {k: v + 0.125 for k, v in saved.items()}
+        got, want = stepped(Adam, saved), stepped(LoopAdam, saved)
+        assert got[0] == want[0]
+        assert {k: v.tobytes() for k, v in got[1].items()} == {
+            k: v.tobytes() for k, v in want[1].items()
+        }
 
 
 class TestAdagrad:

@@ -393,6 +393,19 @@ class TestArtifactBits:
         assert code == 0
         assert "int8" in capsys.readouterr().out  # title names the served width
 
+    def test_fp32_artifact_is_labelled_fp32(self, tmp_path, capsys):
+        out = str(tmp_path / "fp32")
+        assert self._export_fp32(out) == 0
+        stdout = capsys.readouterr().out
+        assert "verified: reload OK — fp32 serving plan" in stdout
+        code = main(
+            ["serve-bench", "--artifact", out, "--requests", "64", "--batch-size", "16"]
+        )
+        assert code == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert "(PointwiseRanker, fp32)" in title, title
+        assert "int32" not in stdout + title
+
     def test_width_conflict_exits_2_with_typed_message(self, tmp_path, capsys):
         out = str(tmp_path / "q8")
         assert self._export_fp32(out + "-tmp") == 0  # warm the builder path
